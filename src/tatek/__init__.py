@@ -53,8 +53,10 @@ from .modp import (
     stabiliser_group,
 )
 from .orbits import (
+    MAX_ORBIT_PRIME,
     FixedPointReport,
     NonIntegralOrbitCount,
+    OrbitPrimeTooLarge,
     OrbitReport,
     QuotientGraphSummary,
     burnside_orbit_count,

@@ -47,8 +47,15 @@ from .graphs import (
     rank as graph_rank,
     scramble_graph,
 )
-from .modp import ClosureExceedsBound, ModulusMismatch, StabiliserKind, check_prime
-from .orbits import NonIntegralOrbitCount, orbit_report, quotient_summary
+from .modp import ClosureExceedsBound, ModulusMismatch, StabiliserKind
+from .orbits import (
+    MAX_ORBIT_PRIME,
+    NonIntegralOrbitCount,
+    OrbitPrimeTooLarge,
+    check_orbit_prime,
+    orbit_report,
+    quotient_summary,
+)
 from .records import render_record
 from .selftest import run_selftest
 from .series import (
@@ -82,6 +89,7 @@ _DOMAIN_ERRORS = (
     ClosureExceedsBound,
     ModulusMismatch,
     NonIntegralOrbitCount,
+    OrbitPrimeTooLarge,
     ValueError,
 )
 
@@ -183,7 +191,7 @@ def _tate_text(title: str, result: TateKResult, cite: bool) -> list[str]:
 
 
 def cmd_orbits(args) -> int:
-    p = check_prime(args.p)
+    p = check_orbit_prime(args.p)
     kinds = [_KIND_BY_NAME[args.kind]] if args.kind else list(_KIND_BY_NAME.values())
     lines: list[str] = []
     for kind in kinds:
@@ -584,7 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     sp = sub.add_parser("orbits", help="stabiliser orbit counts on nonzero (Z/p)^2")
-    sp.add_argument("--p", type=int, required=True, help="prime modulus")
+    sp.add_argument(
+        "--p", type=int, required=True,
+        help=f"prime modulus, at most {MAX_ORBIT_PRIME} (the explicit partition "
+        "takes p^2 bytes and time)",
+    )
     sp.add_argument("--kind", choices=sorted(_KIND_BY_NAME), help="one stabiliser only")
     sp.add_argument("--list", action="store_true", help="list fixed points and orbits")
     common(sp)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Iterable, Sequence
 
@@ -54,11 +55,54 @@ class NormalizationError(RuntimeError):
     """The graph admits no move sequence to the rose-cycle normal form."""
 
 
+def _check_ints(values: tuple, name: str) -> tuple[int, ...]:
+    """Refuse floats, booleans, strings: ``int(x)`` would silently truncate them."""
+    if not {int}.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) is not int)
+        raise GraphStructureError(f"{name} entry {bad!r} is not an integer")
+    return values
+
+
 def _check_perm(perm: Sequence[int], size: int, name: str) -> tuple[int, ...]:
-    values = tuple(int(x) for x in perm)
+    values = _check_ints(tuple(perm), name)
     if len(values) != size or sorted(values) != list(range(size)):
         raise GraphStructureError(f"{name} is not a permutation of 0..{size - 1}")
     return values
+
+
+class _Cycles:
+    """The cycles of a permutation, each listed from its smallest point in
+    action order, with every point's cycle id and position in its cycle."""
+
+    __slots__ = ("cycles", "cycle_id", "position")
+
+    def __init__(self, perm: tuple[int, ...]) -> None:
+        n = len(perm)
+        cycle_id = [-1] * n
+        position = [0] * n
+        cycles: list[tuple[int, ...]] = []
+        for start in range(n):
+            if cycle_id[start] >= 0:
+                continue
+            c = len(cycles)
+            cycle = [start]
+            cycle_id[start] = c
+            x = perm[start]
+            while x != start:
+                cycle_id[x] = c
+                position[x] = len(cycle)
+                cycle.append(x)
+                x = perm[x]
+            cycles.append(tuple(cycle))
+        self.cycles = cycles
+        self.cycle_id = cycle_id
+        self.position = position
+
+    def cycle(self, x: int) -> tuple[int, ...]:
+        return self.cycles[self.cycle_id[x]]
+
+    def minimum(self, x: int) -> int:
+        return self.cycles[self.cycle_id[x]][0]
 
 
 @dataclass(frozen=True)
@@ -73,6 +117,12 @@ class EquivariantGraph:
     half_edge_action: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.p) is not int:
+            raise GraphStructureError(f"p must be an integer, got {self.p!r}")
+        if type(self.n_vertices) is not int:
+            raise GraphStructureError(
+                f"vertex count must be an integer, got {self.n_vertices!r}"
+            )
         check_prime(self.p)
         if self.n_vertices < 1:
             raise GraphStructureError("graph needs at least one vertex")
@@ -86,13 +136,25 @@ class EquivariantGraph:
             "vertex_action",
             _check_perm(self.vertex_action, self.n_vertices, "vertex_action"),
         )
-        attach = tuple(int(x) for x in self.attach)
+        attach = _check_ints(tuple(self.attach), "attach")
         if len(attach) != h:
             raise GraphStructureError("attach must assign a vertex to every half-edge")
         for v in attach:
             if not (0 <= v < self.n_vertices):
                 raise GraphStructureError(f"attach value {v} out of range")
         object.__setattr__(self, "attach", attach)
+
+    # -- cycle index -------------------------------------------------------
+
+    @cached_property
+    def _vertex_cycles(self) -> _Cycles:
+        """Cycles of ``vertex_action``, derived once per (immutable) graph."""
+        return _Cycles(self.vertex_action)
+
+    @cached_property
+    def _half_edge_cycles(self) -> _Cycles:
+        """Cycles of ``half_edge_action``, derived once per (immutable) graph."""
+        return _Cycles(self.half_edge_action)
 
     # -- basic shape -------------------------------------------------------
 
@@ -112,33 +174,14 @@ class EquivariantGraph:
             v = self.vertex_action[v]
         return v
 
-    def act_half_edge(self, h: int, k: int = 1) -> int:
-        for _ in range(k % self.p):
-            h = self.half_edge_action[h]
-        return h
-
     # -- orbits ------------------------------------------------------------
 
-    def vertex_orbit(self, v: int) -> tuple[int, ...]:
-        orbit = [v]
-        x = self.vertex_action[v]
-        while x != v:
-            orbit.append(x)
-            x = self.vertex_action[x]
-        return tuple(orbit)
-
     def vertex_orbits(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        orbits = []
-        for v in range(self.n_vertices):
-            if v not in seen:
-                orbit = self.vertex_orbit(v)
-                seen.update(orbit)
-                orbits.append(orbit)
-        return orbits
+        """Each vertex cycle from its smallest vertex, by that vertex."""
+        return list(self._vertex_cycles.cycles)
 
     def vertex_orbit_rep(self, v: int) -> int:
-        return min(self.vertex_orbit(v))
+        return self._vertex_cycles.minimum(v)
 
     def geometric_orbit(self, h: int) -> tuple[int, ...]:
         """All half-edges of the Z/p-orbit of the geometric edge through h."""
@@ -151,7 +194,9 @@ class EquivariantGraph:
         return tuple(sorted(out))
 
     def orbit_rep(self, h: int) -> int:
-        return self.geometric_orbit(h)[0]
+        """min(geometric_orbit(h)) in O(1): the smaller of two cycle minima."""
+        cycles = self._half_edge_cycles
+        return min(cycles.minimum(h), cycles.minimum(self.involution[h]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +208,8 @@ class EdgeOrbitRef:
 
 
 def edge_orbit_refs(g: EquivariantGraph) -> list[EdgeOrbitRef]:
-    """Canonical representatives (minimal half-edge index) of all edge orbits."""
+    """Canonical representatives (minimal half-edge index) of all edge orbits;
+    O(H) from the cycle index."""
     reps = sorted({g.orbit_rep(h) for h in range(g.n_half_edges)})
     return [EdgeOrbitRef(r) for r in reps]
 
@@ -179,24 +225,36 @@ class ValidityReport:
 
 
 def _connected(g: EquivariantGraph) -> bool:
+    neighbours: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for h, partner in enumerate(g.involution):
+        neighbours[g.attach[h]].append(g.attach[partner])
     seen = {0}
     stack = [0]
     while stack:
-        v = stack.pop()
-        for h in range(g.n_half_edges):
-            if g.attach[h] == v:
-                w = g.attach[g.involution[h]]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        for w in neighbours[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return len(seen) == g.n_vertices
+
+
+def _first_vertex_fixing_power(g: EquivariantGraph) -> int | None:
+    """The least k in 1..p-1 such that action^k fixes some vertex, or None.
+
+    A vertex is fixed by power k exactly when its cycle length divides k, so
+    k is the least cycle length below p.
+    """
+    short = [len(c) for c in g._vertex_cycles.cycles if len(c) < g.p]
+    return min(short) if short else None
 
 
 def validate(g: EquivariantGraph) -> ValidityReport:
     """Check the action axioms; each violated invariant is named individually.
 
     Codes: InvolutionViolation, ActionOrderViolation, EquivarianceViolation,
-    FreenessViolation, ConnectivityViolation.
+    FreenessViolation, ConnectivityViolation.  O(V + H): the order and
+    freeness checks read cycle lengths and positions from the graph's cycle
+    index.
     """
     violations: list[tuple[str, str]] = []
     for h in range(g.n_half_edges):
@@ -207,12 +265,11 @@ def validate(g: EquivariantGraph) -> ValidityReport:
             violations.append(("InvolutionViolation", f"pairing broken at half-edge {h}"))
             break
 
-    v = list(range(g.n_vertices))
-    hh = list(range(g.n_half_edges))
-    for _ in range(g.p):
-        v = [g.vertex_action[x] for x in v]
-        hh = [g.half_edge_action[x] for x in hh]
-    if v != list(range(g.n_vertices)) or hh != list(range(g.n_half_edges)):
+    vertex_cycles, half_cycles = g._vertex_cycles, g._half_edge_cycles
+    # action^p is the identity exactly when every cycle length divides p.
+    if any(g.p % len(c) for c in vertex_cycles.cycles) or any(
+        g.p % len(c) for c in half_cycles.cycles
+    ):
         violations.append(("ActionOrderViolation", f"action order does not divide p = {g.p}"))
 
     for h in range(g.n_half_edges):
@@ -228,32 +285,32 @@ def validate(g: EquivariantGraph) -> ValidityReport:
             )
             break
 
-    for k in range(1, g.p):
-        fixed = [v0 for v0 in range(g.n_vertices) if g.act_vertex(v0, k) == v0]
-        if fixed:
-            violations.append(
-                ("FreenessViolation", f"power {k} of the action fixes vertex {fixed[0]}")
-            )
-            break
+    k = _first_vertex_fixing_power(g)
+    if k is not None:
+        v0 = min(c[0] for c in vertex_cycles.cycles if k % len(c) == 0)
+        violations.append(("FreenessViolation", f"power {k} of the action fixes vertex {v0}"))
     else:
         # For p = 2 a rotation may map an edge to itself reversed, fixing its
         # midpoint geometrically; combinatorially: some power sends a
         # half-edge to its partner.  Disallowed alongside vertex freeness.
-        stop = False
-        for k in range(1, g.p):
-            for h in range(g.n_half_edges):
-                if g.act_half_edge(h, k) == g.involution[h]:
-                    violations.append(
-                        (
-                            "FreenessViolation",
-                            f"power {k} maps half-edge {h} to its own partner "
-                            "(fixed edge midpoint)",
-                        )
-                    )
-                    stop = True
-                    break
-            if stop:
-                break
+        # action^k(h) = partner(h) exactly when the partner lies on h's cycle
+        # at offset k mod the cycle length; take the least (k, h).
+        flips = []
+        for h, partner in enumerate(g.involution):
+            if half_cycles.cycle_id[partner] == half_cycles.cycle_id[h]:
+                length = len(half_cycles.cycle(h))
+                k = (half_cycles.position[partner] - half_cycles.position[h]) % length or length
+                if k < g.p:
+                    flips.append((k, h))
+        if flips:
+            k, h = min(flips)
+            violations.append(
+                (
+                    "FreenessViolation",
+                    f"power {k} maps half-edge {h} to its own partner "
+                    "(fixed edge midpoint)",
+                )
+            )
 
     if not _connected(g):
         violations.append(("ConnectivityViolation", "graph is not connected"))
@@ -268,10 +325,7 @@ def rank(g: EquivariantGraph) -> int:
 
 def has_fixed_vertex(g: EquivariantGraph) -> bool:
     """True iff some nontrivial power of the action fixes a vertex."""
-    for k in range(1, g.p):
-        if any(g.act_vertex(v, k) == v for v in range(g.n_vertices)):
-            return True
-    return False
+    return _first_vertex_fixing_power(g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +397,16 @@ def expand_orbit(
 
     new_attach = list(g.attach)
     # w_k gets index V + k; the connecting half-edges are H + 2k (at the old
-    # orbit) and H + 2k + 1 (at w_k).
+    # orbit) and H + 2k + 1 (at w_k).  ``x`` and ``moved_k`` step along the
+    # action: they are action^k(vertex) and action^k of each moved half-edge.
+    x, moved_k = vertex, moved_set
     for k in range(p):
-        new_attach.append(g.act_vertex(vertex, k))
+        new_attach.append(x)
         new_attach.append(V + k)
-        for h in moved_set:
-            new_attach[g.act_half_edge(h, k)] = V + k
+        for h in moved_k:
+            new_attach[h] = V + k
+        x = g.vertex_action[x]
+        moved_k = [g.half_edge_action[h] for h in moved_k]
 
     involution = list(g.involution) + [0] * (2 * p)
     half_action = list(g.half_edge_action) + [0] * (2 * p)
@@ -374,7 +432,7 @@ def expand_orbit(
 
 
 def _single_vertex_orbit(g: EquivariantGraph) -> bool:
-    return len(g.vertex_orbits()) == 1
+    return len(g._vertex_cycles.cycles) == 1
 
 
 def slide(g: EquivariantGraph, s: EdgeOrbitRef, t: EdgeOrbitRef) -> EquivariantGraph:
@@ -397,10 +455,11 @@ def slide(g: EquivariantGraph, s: EdgeOrbitRef, t: EdgeOrbitRef) -> EquivariantG
             f"tau(s) = {g.attach[g.involution[hs]]} differs from iota(t) = {g.attach[ht]}"
         )
     new_attach = list(g.attach)
-    for k in range(g.p):
-        src = g.act_half_edge(g.involution[hs], k)
-        dst = g.act_half_edge(g.involution[ht], k)
+    src, dst = g.involution[hs], g.involution[ht]
+    for _ in range(g.p):
         new_attach[src] = g.attach[dst]
+        src = g.half_edge_action[src]
+        dst = g.half_edge_action[dst]
     return EquivariantGraph(
         p=g.p,
         n_vertices=g.n_vertices,
@@ -619,7 +678,9 @@ def normalize(g: EquivariantGraph) -> tuple[NormalForm, tuple[Move, ...]]:
     with the rotation (shortest-path slides, lowest half-edge index first);
     slide every other orbit along that cycle until it consists of loops.
     The returned move log replays to a canonical graph; the input rank is
-    preserved and equals p * k + 1.
+    preserved and equals p * k + 1.  ``validate`` runs twice, on the input
+    and through ``is_canonical_form``, at O(V + H) each; every collapse or
+    slide builds a new graph and reads its cycle index in O(V + H).
     """
     report = validate(g)
     if not report.ok:
@@ -763,6 +824,7 @@ def to_json_obj(g: EquivariantGraph) -> dict:
 
 def from_json_obj(obj: dict) -> EquivariantGraph:
     try:
+        _check_ints(tuple(r["id"] for r in obj["half_edges"]), "half_edge id")
         records = sorted(obj["half_edges"], key=lambda r: r["id"])
         ids = [r["id"] for r in records]
         if ids != list(range(len(ids))):

@@ -195,9 +195,6 @@ class MatrixGroup:
     def p(self) -> int:
         return self.elements[0].p
 
-    def __contains__(self, m: Mat2P) -> bool:
-        return any(e.key() == m.key() for e in self.elements)
-
 
 def group_closure(generators: Iterable[Mat2P], bound: int = 4096) -> MatrixGroup:
     """Smallest multiplicatively closed set containing the generators and 1.

@@ -1,10 +1,12 @@
 """Fixed points and orbits of the stabiliser actions on nonzero vectors of (Z/p)^2.
 
 Orbit counting is done twice on purpose: once by averaging fixed-point counts
-over the group (the lemma that is not Burnside's) and once by explicitly
-partitioning the p^2 - 1 nonzero vectors.  The closed forms are claims that
-the tests check against both computations, never the implementation itself.
-All arithmetic is exact integer arithmetic.
+over the group (the lemma that is not Burnside's), in O(|G|), and once by
+explicitly partitioning the p^2 - 1 nonzero vectors.  The partition walks flat
+indices v = l*p + m over a p^2-byte "seen" map and costs O(p^2 * |G|) time;
+primes above ``MAX_ORBIT_PRIME`` are refused before anything is allocated.
+The closed forms are claims that the tests check against both computations,
+never the implementation itself.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .modp import (
-    GENERIC_STABILISER_ORDER,
     Mat2P,
     MatrixGroup,
     StabiliserKind,
@@ -22,8 +23,25 @@ from .modp import (
 )
 
 
+# The explicit partition allocates p^2 bytes and visits p^2 * |G| images.
+MAX_ORBIT_PRIME = 2000
+
+
 class NonIntegralOrbitCount(ArithmeticError):
     """The Burnside average failed to be an integer: an implementation bug."""
+
+
+class OrbitPrimeTooLarge(ValueError):
+    """The modulus is above ``MAX_ORBIT_PRIME``, the bound of the explicit partition."""
+
+
+def check_orbit_prime(p: int) -> int:
+    """``check_prime`` for the orbit layer: refuse p > MAX_ORBIT_PRIME first."""
+    if p > MAX_ORBIT_PRIME:
+        raise OrbitPrimeTooLarge(
+            f"p = {p} exceeds the orbit partition bound {MAX_ORBIT_PRIME}"
+        )
+    return check_prime(p)
 
 
 def kernel_dimension_of_m_minus_identity(m: Mat2P) -> int:
@@ -86,22 +104,48 @@ def burnside_orbit_count(g: MatrixGroup) -> int:
     return orbits
 
 
+def _orbit_starts(g: MatrixGroup) -> list[int]:
+    """The brute-force partition: the smallest flat index v = l*p + m of each
+    orbit on nonzero vectors, ascending.
+
+    Each orbit is marked in a p^2-byte map from its smallest unseen index, so
+    flat order equals the lexicographic order of (l, m).
+    """
+    p = check_orbit_prime(g.p)
+    entries = [m.key() for m in g.elements]
+    seen = bytearray(p * p)
+    seen[0] = 1
+    starts = []
+    v = seen.find(0)
+    while v >= 0:
+        starts.append(v)
+        l, m = divmod(v, p)
+        for a, b, c, d in entries:
+            seen[(a * l + b * m) % p * p + (c * l + d * m) % p] = 1
+        v = seen.find(0, v + 1)
+    return starts
+
+
+def _decode_orbits(g: MatrixGroup, starts: list[int]) -> list[list[tuple[int, int]]]:
+    """The sorted (l, m) members of the orbit through each flat start index."""
+    p = g.p
+    entries = [m.key() for m in g.elements]
+    orbits = []
+    for v in starts:
+        l, m = divmod(v, p)
+        flat = {(a * l + b * m) % p * p + (c * l + d * m) % p for a, b, c, d in entries}
+        orbits.append([divmod(w, p) for w in sorted(flat)])
+    return orbits
+
+
 def enumerate_orbits(g: MatrixGroup) -> list[list[tuple[int, int]]]:
     """Explicit orbit partition of the nonzero vectors; the independent oracle.
 
     Orbits are listed by their lexicographically smallest element, each orbit
-    sorted, so the output is deterministic.
+    sorted, so the output is deterministic.  O(p^2 * |G|) time on p^2 bytes,
+    plus the p^2 - 1 listed tuples.
     """
-    p = g.p
-    seen: set[tuple[int, int]] = set()
-    orbits: list[list[tuple[int, int]]] = []
-    for v in nonzero_vectors(p):
-        if v in seen:
-            continue
-        orbit = {m.apply(v) for m in g.elements}
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return orbits
+    return _decode_orbits(g, _orbit_starts(g))
 
 
 def closed_form_orbits(kind: StabiliserKind, p: int) -> int:
@@ -141,20 +185,30 @@ class OrbitReport:
 def orbit_report(
     kind: StabiliserKind, p: int, list_orbits: bool = False
 ) -> OrbitReport:
+    """Burnside, the brute-force partition and the closed form for one kind.
+
+    The partition is counted without building its (l, m) tuples unless
+    ``list_orbits`` asks for them.
+    """
+    check_orbit_prime(p)
     group = stabiliser_group(kind, p)
     per_element = tuple((m, fixed_points(m).count) for m in group.elements)
     burnside = burnside_orbit_count(group)
-    partition = enumerate_orbits(group)
+    starts = _orbit_starts(group)
     closed = closed_form_orbits(kind, p)
     return OrbitReport(
         kind=kind,
         p=p,
         per_element_counts=per_element,
         orbit_count=burnside,
-        brute_force_count=len(partition),
+        brute_force_count=len(starts),
         closed_form=closed,
-        match=(burnside == len(partition) == closed),
-        orbits=tuple(tuple(o) for o in partition) if list_orbits else None,
+        match=(burnside == len(starts) == closed),
+        orbits=(
+            tuple(tuple(o) for o in _decode_orbits(group, starts))
+            if list_orbits
+            else None
+        ),
     )
 
 
@@ -193,7 +247,3 @@ def betti_closed_form(p: int) -> int:
     if p in (2, 3):
         return 0
     return (p - 7) * (p - 5) // 24
-
-
-def stabiliser_order_is_generic(kind: StabiliserKind, p: int) -> bool:
-    return stabiliser_group(kind, p).order == GENERIC_STABILISER_ORDER[kind]

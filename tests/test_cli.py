@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tatek.graphs import canonical_graph, dumps as graph_dumps
+from tatek import cli
+from tatek.graphs import canonical_graph, dumps as graph_dumps, to_json_obj
 from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR
 
@@ -177,3 +178,51 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert result.stdout.startswith("tatek ")
+
+
+def _main_in_process(capsys, *args):
+    code = cli.main(list(args))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _bad_graph_objs():
+    """Graph JSON objects with one wrongly typed value each; 1.0 and true
+    stand where a 1 was, so truncating them with int() would pass."""
+    base = to_json_obj(canonical_graph(3, 1))
+    cases = {"p_string": dict(base, p="3"), "vertices_string": dict(base, vertices="3")}
+    records = [dict(r) for r in base["half_edges"]]
+    records[1]["id"] = "1"
+    cases["id_string"] = dict(base, half_edges=records)
+    for field in ("vertex_action", "half_edge_action"):
+        for label, bad in (("float", 1.0), ("bool", True)):
+            values = list(base[field])
+            values[values.index(1)] = bad
+            cases[f"{field}_{label}"] = dict(base, **{field: values})
+    for key in ("partner", "vertex"):
+        for label, bad in (("float", 1.0), ("bool", True)):
+            records = [dict(r) for r in base["half_edges"]]
+            index = next(i for i, r in enumerate(records) if r[key] == 1)
+            records[index][key] = bad
+            cases[f"{key}_{label}"] = dict(base, half_edges=records)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_bad_graph_objs()))
+def test_normalize_rejects_wrongly_typed_graph_json(name, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(_bad_graph_objs()[name]), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: GraphStructureError: ")
+    assert err.count("\n") == 1
+
+
+def test_orbits_refuses_prime_above_bound(capsys):
+    code, out, err = _main_in_process(capsys, "orbits", "--p", "1000003")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: OrbitPrimeTooLarge: p = 1000003 exceeds the orbit partition bound 2000\n"
+    )

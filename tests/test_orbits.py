@@ -13,6 +13,8 @@ from tatek.modp import (
     stabiliser_group,
 )
 from tatek.orbits import (
+    MAX_ORBIT_PRIME,
+    OrbitPrimeTooLarge,
     betti_closed_form,
     burnside_orbit_count,
     closed_form_orbits,
@@ -118,6 +120,47 @@ def test_orbit_sizes_divide_group_order():
             group = stabiliser_group(kind, p)
             for orbit in enumerate_orbits(group):
                 assert group.order % len(orbit) == 0
+
+
+def reference_orbits(g: MatrixGroup) -> list[list[tuple[int, int]]]:
+    """The tuple-set partition the flat-index walker replaced, frozen here."""
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for l in range(g.p):
+        for m in range(g.p):
+            v = (l, m)
+            if v == (0, 0) or v in seen:
+                continue
+            orbit = {e.apply(v) for e in g.elements}
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+def test_enumerate_matches_tuple_set_reference():
+    for p in range(2, 98):
+        if not is_prime(p):
+            continue
+        groups = [trivial_group(p)] + [stabiliser_group(k, p) for k in StabiliserKind]
+        for group in groups:
+            assert enumerate_orbits(group) == reference_orbits(group), (p, group.order)
+        for kind in StabiliserKind:
+            partition = enumerate_orbits(stabiliser_group(kind, p))
+            report = orbit_report(kind, p, list_orbits=True)
+            assert report.brute_force_count == len(partition)
+            assert report.orbits == tuple(tuple(o) for o in partition)
+            assert orbit_report(kind, p).brute_force_count == len(partition)
+
+
+def test_partition_refuses_primes_above_the_bound():
+    # Only the refusal is exercised: a partition this large is never run.
+    big = 1000003
+    assert big > MAX_ORBIT_PRIME >= 450 and is_prime(big)
+    for kind in StabiliserKind:
+        with pytest.raises(OrbitPrimeTooLarge):
+            orbit_report(kind, big)
+    with pytest.raises(OrbitPrimeTooLarge):
+        enumerate_orbits(trivial_group(2003))
 
 
 def test_orbit_report_examples():
