@@ -45,7 +45,6 @@ from .modp import (
     ClosureExceedsBound,
     Mat2P,
     MatrixGroup,
-    ModP,
     ModulusMismatch,
     StabiliserKind,
     group_closure,

@@ -13,9 +13,9 @@ cells reproduce faithfully instead of erroring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
+from ._value import Value
 from .classes import ClassList, ConjClassDescriptor, OutOfRange, centraliser_of, order_p_classes
 from .modp import check_prime
 from .series import (
@@ -34,8 +34,7 @@ class NonIntegral(ArithmeticError):
     """A closed-form count failed an exact divisibility check."""
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Value):
     """A dimension that cannot be computed; carries the blocking entry name."""
 
     blocker: str
@@ -47,16 +46,14 @@ class Unknown:
 Dim = int | Unknown
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(Value):
     label: str
     even: Dim
     odd: Dim
     descriptor: ConjClassDescriptor | None = None
 
 
-@dataclass(frozen=True)
-class TateKResult:
+class TateKResult(Value):
     p: int
     group_id: str
     dim_even: Dim
@@ -158,8 +155,7 @@ def tate_k(
     return _finish(p, f"Out(F_{n})", tuple(contributions), tuple(citations))
 
 
-@dataclass(frozen=True)
-class RationalKResult:
+class RationalKResult(Value):
     """Rationalised p-adic K-theory of B Out(F_n): Tate dims plus H^*(Out(F_n))."""
 
     p: int
@@ -370,8 +366,7 @@ TABLE5_PRIMES = (2, 3, 5, 7)
 OUT_OF_RANGE_REASON = "outside the supported classification range"
 
 
-@dataclass(frozen=True)
-class TableCell:
+class TableCell(Value):
     n: int
     p: int
     status: str  # "known" | "unknown"
@@ -381,8 +376,7 @@ class TableCell:
     reason: str | None
 
 
-@dataclass(frozen=True)
-class TableDocument:
+class TableDocument(Value):
     which: int
     title: str
     ranks: tuple[int, ...]

@@ -16,8 +16,7 @@ a stored constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .modp import check_prime
 from .orbits import quotient_summary
 from .series import (
@@ -64,8 +63,7 @@ _AMALGAM_CITATION = (
 )
 
 
-@dataclass(frozen=True)
-class ConjClassDescriptor:
+class ConjClassDescriptor(Value):
     """One conjugacy class of order-p (or p-power, for p = 2) elements."""
 
     kind: str
@@ -97,8 +95,7 @@ class ConjClassDescriptor:
             raise ValueError(f"unknown class kind: {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ClassList:
+class ClassList(Value):
     p: int
     n: int
     classes: tuple[ConjClassDescriptor, ...]

@@ -93,6 +93,12 @@ _DOMAIN_ERRORS = (
     ValueError,
 )
 
+
+def _domain_error(exc: Exception) -> int:
+    sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+    return EXIT_DOMAIN_ERROR
+
+
 _KIND_BY_NAME = {
     "edge": StabiliserKind.EDGE,
     "rose": StabiliserKind.ROSE_VERTEX,
@@ -478,8 +484,12 @@ def cmd_normalize(args) -> int:
     if args.demo:
         g = demo_graph(args.demo)
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            g = graph_loads(fh.read())
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            return _domain_error(exc)
+        g = graph_loads(text)
     form, moves = normalize(g)
     lines: list[str] = []
     if args.format == "records":
@@ -652,8 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_DOMAIN_ERROR
+        return _domain_error(exc)
 
 
 if __name__ == "__main__":

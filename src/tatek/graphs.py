@@ -18,11 +18,11 @@ returns a move log that replays the reduction step by step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .modp import check_prime
 
 
@@ -105,8 +105,7 @@ class _Cycles:
         return self.cycles[self.cycle_id[x]][0]
 
 
-@dataclass(frozen=True)
-class EquivariantGraph:
+class EquivariantGraph(Value):
     """A finite graph together with a Z/p action given by two permutations."""
 
     p: int
@@ -199,8 +198,7 @@ class EquivariantGraph:
         return min(cycles.minimum(h), cycles.minimum(self.involution[h]))
 
 
-@dataclass(frozen=True)
-class EdgeOrbitRef:
+class EdgeOrbitRef(Value):
     """A Z/p-orbit of edges, named by one half-edge; the index also fixes an
     orientation (iota = attach[half_edge], tau = attach[involution[half_edge]])."""
 
@@ -218,8 +216,7 @@ def edge_orbit_refs(g: EquivariantGraph) -> list[EdgeOrbitRef]:
 # Validation
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Value):
     ok: bool
     violations: tuple[tuple[str, str], ...]
 
@@ -556,8 +553,7 @@ def is_canonical_form(g: EquivariantGraph) -> bool:
 # Normal form
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Value):
     """Rose-cycle shape: rank = p * loops_per_vertex + 1."""
 
     p: int
@@ -571,8 +567,7 @@ class NormalForm:
             )
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(Value):
     """One whole-orbit move, referring to half-edge indices of the graph it is
     applied to (indices shift across collapses, so logs replay sequentially)."""
 
@@ -822,10 +817,25 @@ def to_json_obj(g: EquivariantGraph) -> dict:
     }
 
 
+def _check_list(value, name: str) -> list:
+    """Refuse a JSON value of the wrong shape before indexing into it."""
+    if not isinstance(value, list):
+        raise GraphStructureError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def from_json_obj(obj: dict) -> EquivariantGraph:
+    if not isinstance(obj, dict):
+        raise GraphStructureError(f"graph must be an object, got {type(obj).__name__}")
     try:
-        _check_ints(tuple(r["id"] for r in obj["half_edges"]), "half_edge id")
-        records = sorted(obj["half_edges"], key=lambda r: r["id"])
+        records = _check_list(obj["half_edges"], "half_edges")
+        for r in records:
+            if not isinstance(r, dict):
+                raise GraphStructureError(
+                    f"half_edges entry {r!r} is not an object with id, partner and vertex"
+                )
+        _check_ints(tuple(r["id"] for r in records), "half_edge id")
+        records = sorted(records, key=lambda r: r["id"])
         ids = [r["id"] for r in records]
         if ids != list(range(len(ids))):
             raise GraphStructureError("half_edge ids must be exactly 0..H-1")
@@ -834,8 +844,8 @@ def from_json_obj(obj: dict) -> EquivariantGraph:
             n_vertices=obj["vertices"],
             involution=tuple(r["partner"] for r in records),
             attach=tuple(r["vertex"] for r in records),
-            vertex_action=tuple(obj["vertex_action"]),
-            half_edge_action=tuple(obj["half_edge_action"]),
+            vertex_action=tuple(_check_list(obj["vertex_action"], "vertex_action")),
+            half_edge_action=tuple(_check_list(obj["half_edge_action"], "half_edge_action")),
         )
     except KeyError as exc:
         raise GraphStructureError(f"missing graph field: {exc}") from exc

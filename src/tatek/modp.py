@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z/p: residues, invertible 2x2 matrices, small matrix groups.
+"""Exact arithmetic over Z/p: invertible 2x2 matrices and small matrix groups.
 
 Everything here is an immutable value computed with plain Python integers, so
 results are exact and safe to share between threads.  The three dihedral
@@ -8,10 +8,11 @@ in :mod:`tatek.orbits`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+from ._value import Value
 
 
 class ModulusMismatch(ValueError):
@@ -40,50 +41,7 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class ModP:
-    """A residue in the prime field Z/p."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other: "ModP | int") -> "ModP":
-        if isinstance(other, int):
-            return ModP(other, self.p)
-        if other.p != self.p:
-            raise ModulusMismatch(f"moduli differ: {self.p} vs {other.p}")
-        return other
-
-    def __add__(self, other: "ModP | int") -> "ModP":
-        o = self._coerce(other)
-        return ModP(self.value + o.value, self.p)
-
-    def __sub__(self, other: "ModP | int") -> "ModP":
-        o = self._coerce(other)
-        return ModP(self.value - o.value, self.p)
-
-    def __mul__(self, other: "ModP | int") -> "ModP":
-        o = self._coerce(other)
-        return ModP(self.value * o.value, self.p)
-
-    def __neg__(self) -> "ModP":
-        return ModP(-self.value, self.p)
-
-    def inverse(self) -> "ModP":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return ModP(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.p})"
-
-
-@dataclass(frozen=True)
-class Mat2P:
+class Mat2P(Value):
     """An invertible 2x2 matrix over Z/p, stored row-major as (a, b, c, d)."""
 
     a: int
@@ -115,14 +73,11 @@ class Mat2P:
     def det_value(self) -> int:
         return (self.a * self.d - self.b * self.c) % self.p
 
-    def det(self) -> ModP:
-        return ModP(self.det_value, self.p)
-
     def __mul__(self, other: "Mat2P") -> "Mat2P":
         return mat_mul(self, other)
 
     def inverse(self) -> "Mat2P":
-        inv_det = ModP(self.det_value, self.p).inverse().value
+        inv_det = pow(self.det_value, self.p - 2, self.p)
         return Mat2P(
             self.d * inv_det,
             -self.b * inv_det,
@@ -175,8 +130,7 @@ def mat_mul(x: Mat2P, y: Mat2P) -> Mat2P:
     )
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(Value):
     """A finite matrix group given by generators and its full element list.
 
     ``elements`` always contains the identity, is deduplicated, closed under

@@ -11,9 +11,9 @@ never the implementation itself.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._value import Value
 from .modp import (
     Mat2P,
     MatrixGroup,
@@ -58,8 +58,7 @@ def kernel_dimension_of_m_minus_identity(m: Mat2P) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(Value):
     """Count (and optionally the list) of nonzero vectors fixed by a matrix."""
 
     matrix: Mat2P
@@ -168,8 +167,7 @@ def closed_form_orbits(kind: StabiliserKind, p: int) -> int:
     raise ValueError(f"unknown stabiliser kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Value):
     """Burnside count, brute-force count and closed form for one stabiliser."""
 
     kind: StabiliserKind
@@ -212,8 +210,7 @@ def orbit_report(
     )
 
 
-@dataclass(frozen=True)
-class QuotientGraphSummary:
+class QuotientGraphSummary(Value):
     """Orbit counts and first Betti number of the quotient of the spine tree.
 
     The spine is a tree and the quotient is connected, so

@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
+
+from ._value import Value
 
 REGISTRY_ENV_VAR = "TATEK_REGISTRY"
 _DEFAULT_REGISTRY_RESOURCE = "cohomology_registry.json"
@@ -38,8 +39,7 @@ class NoSuchEntry(KeyError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(Value):
     """Finite-support map degree -> dimension, stored as sorted pairs."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -133,37 +133,30 @@ def flip_symmetric_square(s: PoincareSeries) -> PoincareSeries:
 # Group expressions
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(Value):
     """Base class for the small expression language of centraliser shapes."""
 
 
-@dataclass(frozen=True)
 class Finite(GroupExpr):
     pass
 
 
-@dataclass(frozen=True)
 class FreeGroup(GroupExpr):
     rank: int
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupExpr):
     rank: int
 
 
-@dataclass(frozen=True)
 class RegistryRef(GroupExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class Product(GroupExpr):
     factors: tuple[GroupExpr, ...]
 
 
-@dataclass(frozen=True)
 class FlipSquare(GroupExpr):
     """Z/2-invariants of inner x inner where Z/2 swaps the factors."""
 
@@ -174,8 +167,7 @@ class FlipSquare(GroupExpr):
 # Registry
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(Value):
     name: str
     status: str  # "known" | "unknown"
     series: PoincareSeries | None

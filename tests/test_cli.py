@@ -226,3 +226,68 @@ def test_orbits_refuses_prime_above_bound(capsys):
     assert err == (
         "error: OrbitPrimeTooLarge: p = 1000003 exceeds the orbit partition bound 2000\n"
     )
+
+
+def _misshapen_graph_objs():
+    """Graph JSON documents of the wrong shape: not an object, or a list or
+    record where the other is expected."""
+    base = to_json_obj(canonical_graph(3, 1))
+    return {
+        "top_level_list": [1, 2],
+        "top_level_int": 5,
+        "half_edges_ints": dict(base, half_edges=[5]),
+        "half_edges_object": dict(base, half_edges={"id": 0}),
+        "half_edge_list_record": dict(base, half_edges=[[0, 1, 0]] + base["half_edges"][1:]),
+        "vertex_action_int": dict(base, vertex_action=5),
+        "half_edge_action_string": dict(base, half_edge_action="012"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_misshapen_graph_objs()))
+def test_normalize_rejects_misshapen_graph_json(name, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(_misshapen_graph_objs()[name]), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: GraphStructureError: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda tmp: tmp / "missing.json", "FileNotFoundError"),
+        (lambda tmp: tmp, "IsADirectoryError"),
+    ],
+    ids=["missing", "directory"],
+)
+def test_normalize_reports_unreadable_input(make, error, tmp_path, capsys):
+    path = str(make(tmp_path))
+    code, out, err = _main_in_process(capsys, "normalize", "--input", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {error}: ")
+    assert path in err
+    assert err.count("\n") == 1
+
+
+def test_import_loads_every_layer_but_not_dataclasses():
+    # The bench tracer patches functions in each layer module, and its
+    # startup.import_ms.<module> figures are parsed from `python -X importtime
+    # -c "import tatek.cli"`: both rely on `import tatek.cli` loading all eight
+    # layers eagerly.  `dataclasses` (which loads `inspect`) cost about 25 ms
+    # of that import before the value classes moved to tatek._value.
+    layers = ("records", "modp", "orbits", "graphs", "series", "classes", "assemble", "selftest")
+    code = (
+        "import sys, tatek.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))); "
+        f"print(' '.join(m for m in {layers!r} if 'tatek.' + m not in sys.modules))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n\n"

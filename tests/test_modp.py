@@ -4,7 +4,6 @@ from tatek.modp import (
     ClosureExceedsBound,
     GENERIC_STABILISER_ORDER,
     Mat2P,
-    ModP,
     ModulusMismatch,
     StabiliserKind,
     coordinate_swap,
@@ -21,25 +20,9 @@ PRIMES_TO_97 = [p for p in range(2, 98) if is_prime(p)]
 
 
 def test_modp_normalises_and_checks_prime():
-    assert ModP(7, 5).value == 2
-    assert ModP(-1, 5).value == 4
-    with pytest.raises(ValueError):
-        ModP(1, 6)
+    assert Mat2P(7, 0, 0, -1, 5).key() == (2, 0, 0, 4)
     with pytest.raises(ValueError):
         Mat2P(1, 0, 0, 1, 9)
-
-
-def test_modp_field_ops():
-    a = ModP(3, 7)
-    assert (a + 5).value == 1
-    assert (a - 4).value == 6
-    assert (a * a).value == 2
-    assert (-a).value == 4
-    assert (a * a.inverse()).value == 1
-    with pytest.raises(ZeroDivisionError):
-        ModP(0, 7).inverse()
-    with pytest.raises(ModulusMismatch):
-        a + ModP(1, 5)
 
 
 def test_singular_matrix_rejected():
