@@ -22,6 +22,7 @@ from .series import (
     FreeAbelian,
     FreeGroup,
     Registry,
+    RegistryDataError,
     UnknownCohomology,
     citations_of,
     default_registry,
@@ -132,9 +133,9 @@ def tate_k(
         try:
             series = series_of(expr, reg)
             if series.max_degree > 2 * n:
-                raise AssertionError(
-                    f"series degree {series.max_degree} exceeds 2n = {2 * n} "
-                    f"for class {c.label}: registry data error?"
+                raise RegistryDataError(
+                    f"class {c.label}: the registry dims of {expr} reach degree "
+                    f"{series.max_degree}, above 2n = {2 * n}"
                 )
             even, odd = even_odd_totals(series)
             contributions.append(
@@ -391,33 +392,10 @@ class TableDocument(Value):
         raise KeyError((n, p))
 
 
-def _tate_cell(p: int, n: int, reg: Registry, citations: list[str]) -> TableCell:
+def _cell(compute, p: int, n: int, reg: Registry, citations: list[str]) -> TableCell:
+    """One table cell from ``compute(p, n)``, ``tate_k`` or ``rational_k``."""
     try:
-        result = tate_k(p, n, registry=reg)
-    except OutOfRange:
-        return TableCell(
-            n=n, p=p, status="unknown", even=None, odd=None, blocker=None,
-            reason=OUT_OF_RANGE_REASON,
-        )
-    for cite in result.citations:
-        if cite not in citations:
-            citations.append(cite)
-    if not result.known:
-        blocker = result.dim_even.blocker
-        return TableCell(
-            n=n, p=p, status="unknown", even=None, odd=None, blocker=blocker,
-            reason=f"blocked on registry entry {blocker}",
-        )
-    return TableCell(
-        n=n, p=p, status="known",
-        even=result.dim_even, odd=result.dim_odd,
-        blocker=None, reason=None,
-    )
-
-
-def _rational_cell(p: int, n: int, reg: Registry, citations: list[str]) -> TableCell:
-    try:
-        result = rational_k(p, n, registry=reg)
+        result = compute(p, n, registry=reg)
     except OutOfRange:
         return TableCell(
             n=n, p=p, status="unknown", even=None, odd=None, blocker=None,
@@ -449,14 +427,14 @@ def emit_table(which: int, registry: Registry | None = None) -> TableDocument:
     reg = registry or default_registry()
     citations: list[str] = []
     if which == 4:
-        ranks, primes, fill = TABLE4_RANKS, TABLE4_PRIMES, _tate_cell
+        ranks, primes, compute = TABLE4_RANKS, TABLE4_PRIMES, tate_k
         title = "p-adic Farrell-Tate K-theory of Out(F_n): (even, odd) Q_p-dimensions"
     elif which == 5:
-        ranks, primes, fill = TABLE5_RANKS, TABLE5_PRIMES, _rational_cell
+        ranks, primes, compute = TABLE5_RANKS, TABLE5_PRIMES, rational_k
         title = "Rationalised p-adic K-theory of B Out(F_n): (even, odd) Q_p-dimensions"
     else:
         raise ValueError(f"no such table: {which} (supported: 4, 5)")
-    cells = tuple(fill(p, n, reg, citations) for n in ranks for p in primes)
+    cells = tuple(_cell(compute, p, n, reg, citations) for n in ranks for p in primes)
     return TableDocument(
         which=which,
         title=title,

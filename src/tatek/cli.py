@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__
 from .assemble import (
     EXAMPLE_FAMILIES,
-    RationalKResult,
-    TateKResult,
     Unknown,
     emit_table,
     example_amalgam,
@@ -47,7 +46,7 @@ from .graphs import (
     rank as graph_rank,
     scramble_graph,
 )
-from .modp import ClosureExceedsBound, ModulusMismatch, StabiliserKind
+from .modp import ClosureExceedsBound, ModulusMismatch, PrimeTooLarge, StabiliserKind
 from .orbits import (
     MAX_ORBIT_PRIME,
     NonIntegralOrbitCount,
@@ -58,17 +57,7 @@ from .orbits import (
 )
 from .records import render_record
 from .selftest import run_selftest
-from .series import (
-    Finite,
-    FlipSquare,
-    FreeAbelian,
-    FreeGroup,
-    GroupExpr,
-    NoSuchEntry,
-    Product,
-    RegistryRef,
-    UnknownCohomology,
-)
+from .series import NoSuchEntry, RegistryDataError, UnknownCohomology
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -80,6 +69,7 @@ _DOMAIN_ERRORS = (
     OutOfRange,
     UnknownCohomology,
     NoSuchEntry,
+    RegistryDataError,
     NotAForest,
     SameOrbit,
     NotComposable,
@@ -90,6 +80,7 @@ _DOMAIN_ERRORS = (
     ModulusMismatch,
     NonIntegralOrbitCount,
     OrbitPrimeTooLarge,
+    PrimeTooLarge,
     ValueError,
 )
 
@@ -105,356 +96,198 @@ _KIND_BY_NAME = {
     "theta": StabiliserKind.THETA_VERTEX,
 }
 
+# Each command builds its output in one pass, as (record, text) items: the
+# record is rendered in records format and the text line in text format, and
+# either may be None.  Records leave out what only a reader needs (orbit
+# members, the input graph, the table grid), so text is not derived from them.
+Item = tuple[dict | None, str | None]
 
-def expr_str(expr: GroupExpr) -> str:
-    if isinstance(expr, Finite):
-        return "finite"
-    if isinstance(expr, FreeGroup):
-        return f"free({expr.rank})"
-    if isinstance(expr, FreeAbelian):
-        return f"Z^{expr.rank}"
-    if isinstance(expr, RegistryRef):
-        return expr.name
-    if isinstance(expr, Product):
-        return " x ".join(expr_str(f) for f in expr.factors)
-    if isinstance(expr, FlipSquare):
-        return f"flip_square({expr_str(expr.inner)})"
-    return repr(expr)
+
+def _emit(items: Iterable[Item], fmt: str) -> None:
+    if fmt == "records":
+        lines = (render_record(record) for record, _ in items if record is not None)
+    else:
+        lines = (text for _, text in items if text is not None)
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _dim_str(value) -> str:
-    if isinstance(value, Unknown):
-        return "unknown"
-    return str(value)
+    return "unknown" if isinstance(value, Unknown) else str(value)
 
 
-def _bool_str(value) -> str:
-    if isinstance(value, Unknown):
-        return "unknown"
-    return "yes" if value else "no"
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _mat_str(m) -> str:
-    return f"[[{m.a},{m.b}],[{m.c},{m.d}]]"
-
-
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def _tate_records(kind: str, result: TateKResult, n: int | None, cite: bool) -> list[str]:
-    base: dict[str, str] = {"record": kind, "group": result.group_id, "p": str(result.p)}
-    if n is not None:
-        base["n"] = str(n)
+def _status_items(record: dict, title: str, result) -> list[Item]:
+    """The head record with the title, then the two dimensions or their blocker."""
     if result.known:
-        base.update(
-            status="known",
-            even=str(result.dim_even),
-            odd=str(result.dim_odd),
-            weak_duality="true" if result.weak_duality else "false",
-            euler=str(result.euler_char),
-        )
-    else:
-        base.update(status="unknown", blocker=result.dim_even.blocker)
-    lines = [render_record(base)]
-    for c in result.contributions:
-        lines.append(
-            render_record(
-                {
-                    "record": "contribution",
-                    "label": c.label,
-                    "even": _dim_str(c.even),
-                    "odd": _dim_str(c.odd),
-                }
-            )
-        )
-    if cite:
-        for text in result.citations:
-            lines.append(render_record({"record": "citation", "text": text}))
-    return lines
-
-
-def _tate_text(title: str, result: TateKResult, cite: bool) -> list[str]:
-    lines = [title]
-    if result.known:
-        lines.append(f"even: {result.dim_even}, odd: {result.dim_odd}")
-        lines.append(
-            f"weak duality: {_bool_str(result.weak_duality)}; "
-            f"Euler characteristic: {result.euler_char}"
-        )
+        record.update(status="known", even=result.dim_even, odd=result.dim_odd)
+        line = f"even: {result.dim_even}, odd: {result.dim_odd}"
     else:
         blocker = result.dim_even.blocker
-        lines.append(f"even: unknown, odd: unknown (blocked on {blocker})")
-    if result.contributions:
-        lines.append("contributions:")
-        for c in result.contributions:
-            lines.append(f"  {c.label}: even {_dim_str(c.even)}, odd {_dim_str(c.odd)}")
-    if cite and result.citations:
-        lines.append("citations:")
-        for text in result.citations:
-            lines.append(f"  - {text}")
-    return lines
+        record.update(status="unknown", blocker=blocker)
+        line = f"even: unknown, odd: unknown (blocked on {blocker})"
+    return [(record, title), (None, line)]
+
+
+def _contribution_items(contributions, heading: str) -> list[Item]:
+    items: list[Item] = [(None, heading)] if contributions else []
+    for c in contributions:
+        even, odd = _dim_str(c.even), _dim_str(c.odd)
+        record = dict(record="contribution", label=c.label, even=even, odd=odd)
+        items.append((record, f"  {c.label}: even {even}, odd {odd}"))
+    return items
+
+
+def _citation_items(citations, cite: bool) -> list[Item]:
+    if not (cite and citations):
+        return []
+    return [(None, "citations:")] + [
+        (dict(record="citation", text=text), f"  - {text}") for text in citations
+    ]
+
+
+def _tate_items(record: dict, title: str, result, cite: bool) -> list[Item]:
+    items = _status_items(record, title, result)
+    if result.known:
+        record.update(weak_duality=_flag(result.weak_duality), euler=result.euler_char)
+        duality = "yes" if result.weak_duality else "no"
+        items.append(
+            (None, f"weak duality: {duality}; Euler characteristic: {result.euler_char}")
+        )
+    items += _contribution_items(result.contributions, "contributions:")
+    return items + _citation_items(result.citations, cite)
+
+
+def _orbit_items(args, p: int) -> Iterator[Item]:
+    kinds = [_KIND_BY_NAME[args.kind]] if args.kind else list(_KIND_BY_NAME.values())
+    for kind in kinds:
+        report = orbit_report(kind, p, list_orbits=args.list)
+        order, orbits = len(report.per_element_counts), report.orbit_count
+        brute, closed = report.brute_force_count, report.closed_form
+        record = dict(
+            record="orbit_report", kind=kind.value, p=p, group_order=order, orbits=orbits,
+            burnside=orbits, brute_force=brute, closed_form=closed, match=_flag(report.match),
+        )
+        text = (
+            f"{kind.value} stabiliser at p={p}: order {order}; orbits: {orbits} "
+            f"(burnside {orbits}, brute-force {brute}, closed-form {closed})"
+        )
+        yield record, text
+        if args.list:
+            for m, count in report.per_element_counts:
+                element = f"[[{m.a},{m.b}],[{m.c},{m.d}]]"
+                record = dict(
+                    record="fixed_points", kind=kind.value, p=p, element=element, count=count
+                )
+                yield record, f"  fixed points of {element}: {count}"
+            for orbit in report.orbits or ():
+                rep = f"({orbit[0][0]},{orbit[0][1]})"
+                record = dict(record="orbit", kind=kind.value, p=p, rep=rep, size=len(orbit))
+                shown = " ".join(f"({l},{m})" for l, m in orbit)
+                yield record, f"  orbit size {len(orbit)}: {shown}"
+    if not args.kind:
+        summary = quotient_summary(p)
+        vertices, edges, betti = summary.vertex_orbits, summary.edge_orbits, summary.betti_one
+        record = dict(
+            record="quotient", p=p, vertex_orbits=vertices, edge_orbits=edges, betti_one=betti
+        )
+        text = (
+            f"quotient graph at p={p}: vertex orbits {vertices}, "
+            f"edge orbits {edges}, betti_1 {betti}"
+        )
+        yield record, text
 
 
 def cmd_orbits(args) -> int:
-    p = check_orbit_prime(args.p)
-    kinds = [_KIND_BY_NAME[args.kind]] if args.kind else list(_KIND_BY_NAME.values())
-    lines: list[str] = []
-    for kind in kinds:
-        report = orbit_report(kind, p, list_orbits=args.list)
-        if args.format == "records":
-            lines.append(
-                render_record(
-                    {
-                        "record": "orbit_report",
-                        "kind": kind.value,
-                        "p": str(p),
-                        "group_order": str(len(report.per_element_counts)),
-                        "orbits": str(report.orbit_count),
-                        "burnside": str(report.orbit_count),
-                        "brute_force": str(report.brute_force_count),
-                        "closed_form": str(report.closed_form),
-                        "match": "true" if report.match else "false",
-                    }
-                )
-            )
-            if args.list:
-                for matrix, count in report.per_element_counts:
-                    lines.append(
-                        render_record(
-                            {
-                                "record": "fixed_points",
-                                "kind": kind.value,
-                                "p": str(p),
-                                "element": _mat_str(matrix),
-                                "count": str(count),
-                            }
-                        )
-                    )
-                for orbit in report.orbits or ():
-                    lines.append(
-                        render_record(
-                            {
-                                "record": "orbit",
-                                "kind": kind.value,
-                                "p": str(p),
-                                "rep": f"({orbit[0][0]},{orbit[0][1]})",
-                                "size": str(len(orbit)),
-                            }
-                        )
-                    )
-        else:
-            lines.append(
-                f"{kind.value} stabiliser at p={p}: order "
-                f"{len(report.per_element_counts)}; orbits: {report.orbit_count} "
-                f"(burnside {report.orbit_count}, brute-force {report.brute_force_count}, "
-                f"closed-form {report.closed_form})"
-            )
-            if args.list:
-                for matrix, count in report.per_element_counts:
-                    lines.append(f"  fixed points of {_mat_str(matrix)}: {count}")
-                for orbit in report.orbits or ():
-                    shown = " ".join(f"({l},{m})" for l, m in orbit)
-                    lines.append(f"  orbit size {len(orbit)}: {shown}")
-    if not args.kind:
-        summary = quotient_summary(p)
-        if args.format == "records":
-            lines.append(
-                render_record(
-                    {
-                        "record": "quotient",
-                        "p": str(p),
-                        "vertex_orbits": str(summary.vertex_orbits),
-                        "edge_orbits": str(summary.edge_orbits),
-                        "betti_one": str(summary.betti_one),
-                    }
-                )
-            )
-        else:
-            lines.append(
-                f"quotient graph at p={p}: vertex orbits {summary.vertex_orbits}, "
-                f"edge orbits {summary.edge_orbits}, betti_1 {summary.betti_one}"
-            )
-    _emit(lines)
+    # With --list the items name all p^2 vectors, so they are generated, not held.
+    _emit(_orbit_items(args, check_orbit_prime(args.p)), args.format)
     return EXIT_OK
 
 
 def cmd_classes(args) -> int:
     class_list = order_p_classes(args.p, args.n)
-    cite = not args.no_cite
-    lines: list[str] = []
-    if args.format == "records":
-        lines.append(
-            render_record(
-                {
-                    "record": "class_list",
-                    "p": str(class_list.p),
-                    "n": str(class_list.n),
-                    "count": str(len(class_list.classes)),
-                    "complete": "true" if class_list.complete else "false",
-                }
-            )
+    p, n, count = class_list.p, class_list.n, len(class_list.classes)
+    record = dict(record="class_list", p=p, n=n, count=count, complete=_flag(class_list.complete))
+    completeness = "complete" if class_list.complete else "incomplete"
+    items: list[Item] = [
+        (record, f"order-{p} torsion classes of Out(F_{n}): {count} ({completeness})")
+    ]
+    for c in class_list.classes:
+        centraliser = str(centraliser_of(c))
+        record = dict(
+            record="class", p=c.p, n=c.n, kind=c.kind, label=c.label, centraliser=centraliser
         )
-        for c in class_list.classes:
-            rec = {
-                "record": "class",
-                "p": str(c.p),
-                "n": str(c.n),
-                "kind": c.kind,
-                "label": c.label,
-                "centraliser": expr_str(centraliser_of(c)),
-            }
-            if c.aut_level_note:
-                rec["aut_note"] = c.aut_level_note
-            if cite:
-                rec["citation"] = c.citation
-            lines.append(render_record(rec))
-    else:
-        lines.append(
-            f"order-{class_list.p} torsion classes of Out(F_{class_list.n}): "
-            f"{len(class_list.classes)}"
-            + (" (complete)" if class_list.complete else " (incomplete)")
-        )
-        for c in class_list.classes:
-            lines.append(f"  {c.label}: centraliser ~ {expr_str(centraliser_of(c))}")
-            if c.aut_level_note:
-                lines.append(f"    note: {c.aut_level_note}")
-            if cite:
-                lines.append(f"    citation: {c.citation}")
-    _emit(lines)
+        items.append((record, f"  {c.label}: centraliser ~ {centraliser}"))
+        if c.aut_level_note:
+            record["aut_note"] = c.aut_level_note
+            items.append((None, f"    note: {c.aut_level_note}"))
+        if not args.no_cite:
+            record["citation"] = c.citation
+            items.append((None, f"    citation: {c.citation}"))
+    _emit(items, args.format)
     return EXIT_OK
 
 
 def cmd_tate(args) -> int:
     result = tate_k(args.p, args.n)
-    cite = not args.no_cite
-    if args.format == "records":
-        _emit(_tate_records("tate", result, args.n, cite))
-    else:
-        title = f"Farrell-Tate K-theory of Out(F_{args.n}) at p={args.p}"
-        _emit(_tate_text(title, result, cite))
+    record = dict(record="tate", group=result.group_id, p=result.p, n=args.n)
+    title = f"Farrell-Tate K-theory of Out(F_{args.n}) at p={args.p}"
+    _emit(_tate_items(record, title, result, not args.no_cite), args.format)
     return EXIT_OK if result.known else EXIT_ALL_UNKNOWN
 
 
 def cmd_rational(args) -> int:
-    result: RationalKResult = rational_k(args.p, args.n)
-    cite = not args.no_cite
-    lines: list[str] = []
-    if args.format == "records":
-        rec: dict[str, str] = {
-            "record": "rational",
-            "p": str(args.p),
-            "n": str(args.n),
-        }
-        if result.known:
-            rec.update(
-                status="known",
-                even=str(result.dim_even),
-                odd=str(result.dim_odd),
-                tate_even=_dim_str(result.tate.dim_even),
-                tate_odd=_dim_str(result.tate.dim_odd),
-                outfn_even=_dim_str(result.outfn_even),
-                outfn_odd=_dim_str(result.outfn_odd),
-            )
-        else:
-            rec.update(status="unknown", blocker=result.dim_even.blocker)
-        lines.append(render_record(rec))
-        for c in result.tate.contributions:
-            lines.append(
-                render_record(
-                    {
-                        "record": "contribution",
-                        "label": c.label,
-                        "even": _dim_str(c.even),
-                        "odd": _dim_str(c.odd),
-                    }
-                )
-            )
-        if cite:
-            for text in result.citations:
-                lines.append(render_record({"record": "citation", "text": text}))
-    else:
-        lines.append(f"rationalised p-adic K-theory of B Out(F_{args.n}) at p={args.p}")
-        if result.known:
-            lines.append(f"even: {result.dim_even}, odd: {result.dim_odd}")
-            lines.append(
-                f"  torsion part (Farrell-Tate): even {_dim_str(result.tate.dim_even)}, "
-                f"odd {_dim_str(result.tate.dim_odd)}"
-            )
-            lines.append(
-                f"  H^*(Out(F_{args.n}); Q) part: even {_dim_str(result.outfn_even)}, "
-                f"odd {_dim_str(result.outfn_odd)}"
-            )
-        else:
-            blocker = result.dim_even.blocker
-            lines.append(f"even: unknown, odd: unknown (blocked on {blocker})")
-        if result.tate.contributions:
-            lines.append("torsion contributions:")
-            for c in result.tate.contributions:
-                lines.append(
-                    f"  {c.label}: even {_dim_str(c.even)}, odd {_dim_str(c.odd)}"
-                )
-        if cite and result.citations:
-            lines.append("citations:")
-            for text in result.citations:
-                lines.append(f"  - {text}")
-    _emit(lines)
+    result = rational_k(args.p, args.n)
+    record = dict(record="rational", p=args.p, n=args.n)
+    title = f"rationalised p-adic K-theory of B Out(F_{args.n}) at p={args.p}"
+    items = _status_items(record, title, result)
+    if result.known:
+        tate_even, tate_odd = result.tate.dim_even, result.tate.dim_odd
+        outfn_even, outfn_odd = result.outfn_even, result.outfn_odd
+        record.update(
+            tate_even=tate_even, tate_odd=tate_odd, outfn_even=outfn_even, outfn_odd=outfn_odd
+        )
+        items.append((None, f"  torsion part (Farrell-Tate): even {tate_even}, odd {tate_odd}"))
+        items.append(
+            (None, f"  H^*(Out(F_{args.n}); Q) part: even {outfn_even}, odd {outfn_odd}")
+        )
+    items += _contribution_items(result.tate.contributions, "torsion contributions:")
+    items += _citation_items(result.citations, not args.no_cite)
+    _emit(items, args.format)
     return EXIT_OK if result.known else EXIT_ALL_UNKNOWN
 
 
 def cmd_table(args) -> int:
     doc = emit_table(args.which)
-    cite = not args.no_cite
-    lines: list[str] = []
-    if args.format == "records":
-        for cell in doc.cells:
-            rec: dict[str, str] = {
-                "record": "cell",
-                "table": str(doc.which),
-                "n": str(cell.n),
-                "p": str(cell.p),
-                "status": cell.status,
-            }
-            if cell.status == "known":
-                rec["even"] = str(cell.even)
-                rec["odd"] = str(cell.odd)
-            else:
-                if cell.blocker:
-                    rec["blocker"] = cell.blocker
-                if cell.reason:
-                    rec["reason"] = cell.reason
-            lines.append(render_record(rec))
-        if cite:
-            for text in doc.citations:
-                lines.append(render_record({"record": "citation", "text": text}))
-    else:
-        lines.append(doc.title)
-        header = ["n\\p"] + [str(p) for p in doc.primes]
-        rows = [header]
-        for n in doc.ranks:
-            row = [str(n)]
-            for p in doc.primes:
-                cell = doc.cell(n, p)
-                row.append(f"{cell.even}/{cell.odd}" if cell.status == "known" else "?")
-            rows.append(row)
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        for r in rows:
-            lines.append("  ".join(x.rjust(w) for x, w in zip(r, widths)))
-        notes = [c for c in doc.cells if c.status == "unknown" and c.blocker]
-        for cell in notes:
-            lines.append(
-                f"unknown at (n={cell.n}, p={cell.p}): blocked on {cell.blocker}"
-            )
-        if any(c.status == "unknown" and not c.blocker for c in doc.cells):
-            lines.append(
-                "cells marked ? without a blocker are outside the supported "
-                "classification range"
-            )
-        if cite and doc.citations:
-            lines.append("citations:")
-            for text in doc.citations:
-                lines.append(f"  - {text}")
-    _emit(lines)
+    rows = [["n\\p"] + [str(p) for p in doc.primes]]
+    for n in doc.ranks:
+        row = [str(n)]
+        for p in doc.primes:
+            cell = doc.cell(n, p)
+            row.append(f"{cell.even}/{cell.odd}" if cell.status == "known" else "?")
+        rows.append(row)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    items: list[Item] = [(None, doc.title)]
+    items += [(None, "  ".join(x.rjust(w) for x, w in zip(r, widths))) for r in rows]
+    for cell in doc.cells:
+        record = dict(record="cell", table=doc.which, n=cell.n, p=cell.p, status=cell.status)
+        note = None
+        if cell.status == "known":
+            record.update(even=cell.even, odd=cell.odd)
+        else:
+            if cell.blocker:
+                record["blocker"] = cell.blocker
+                note = f"unknown at (n={cell.n}, p={cell.p}): blocked on {cell.blocker}"
+            if cell.reason:
+                record["reason"] = cell.reason
+        items.append((record, note))
+    if any(c.status == "unknown" and not c.blocker for c in doc.cells):
+        note = "cells marked ? without a blocker are outside the supported classification range"
+        items.append((None, note))
+    items += _citation_items(doc.citations, not args.no_cite)
+    _emit(items, args.format)
     return EXIT_OK
 
 
@@ -491,52 +324,36 @@ def cmd_normalize(args) -> int:
             return _domain_error(exc)
         g = graph_loads(text)
     form, moves = normalize(g)
-    lines: list[str] = []
-    if args.format == "records":
-        lines.append(
-            render_record(
-                {
-                    "record": "normal_form",
-                    "p": str(form.p),
-                    "k": str(form.loops_per_vertex),
-                    "rank": str(form.rank),
-                    "moves": str(len(moves)),
-                }
-            )
-        )
-        for index, move in enumerate(moves, start=1):
-            rec = {
-                "record": "move",
-                "index": str(index),
-                "op": move.op,
-                "source": str(move.source),
-            }
-            if move.target is not None:
-                rec["target"] = str(move.target)
-            lines.append(render_record(rec))
-    else:
-        lines.append(
+    k, rank = form.loops_per_vertex, form.rank
+    items: list[Item] = [
+        (
+            None,
             f"input graph: p={g.p}, {g.n_vertices} vertices, {g.n_edges} edges, "
-            f"rank {graph_rank(g)}"
-        )
-        lines.append(
-            f"normal form: p={form.p}, k={form.loops_per_vertex}, rank {form.rank}"
-        )
-        lines.append(f"moves: {len(moves)}")
-        for index, move in enumerate(moves, start=1):
-            if move.op == "collapse":
-                lines.append(f"  {index}. collapse orbit of half-edge {move.source}")
-            else:
-                lines.append(
-                    f"  {index}. slide orbit of half-edge {move.source} across "
-                    f"half-edge {move.target}"
-                )
-    _emit(lines)
+            f"rank {graph_rank(g)}",
+        ),
+        (
+            dict(record="normal_form", p=form.p, k=k, rank=rank, moves=len(moves)),
+            f"normal form: p={form.p}, k={k}, rank {rank}",
+        ),
+        (None, f"moves: {len(moves)}"),
+    ]
+    for index, move in enumerate(moves, start=1):
+        record = dict(record="move", index=index, op=move.op, source=move.source)
+        if move.target is not None:
+            record["target"] = move.target
+        if move.op == "collapse":
+            text = f"  {index}. collapse orbit of half-edge {move.source}"
+        else:
+            text = (
+                f"  {index}. slide orbit of half-edge {move.source} across "
+                f"half-edge {move.target}"
+            )
+        items.append((record, text))
+    _emit(items, args.format)
     return EXIT_OK
 
 
 def cmd_example(args) -> int:
-    cite = not args.no_cite
     name = args.name
     if name == "sl3":
         if args.p is not None or args.class_number is not None:
@@ -559,25 +376,19 @@ def cmd_example(args) -> int:
             results = [example_amalgam(args.p)]
         else:
             raise ValueError(f"unknown example {name!r}")
-    lines: list[str] = []
+    items: list[Item] = []
     for result in results:
-        if args.format == "records":
-            lines.extend(_tate_records("example", result, None, cite))
-        else:
-            lines.extend(
-                _tate_text(
-                    f"Farrell-Tate K-theory of {result.group_id} at p={result.p}",
-                    result,
-                    cite,
-                )
-            )
-    _emit(lines)
+        record = dict(record="example", group=result.group_id, p=result.p)
+        title = f"Farrell-Tate K-theory of {result.group_id} at p={result.p}"
+        items += _tate_items(record, title, result, not args.no_cite)
+    _emit(items, args.format)
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     lines, ok = run_selftest(max_p=args.max_p)
-    _emit(lines)
+    # The selftest report is text in either format.
+    _emit([(None, line) for line in lines], "text")
     return EXIT_OK if ok else EXIT_SELFTEST_FAILED
 
 

@@ -15,7 +15,7 @@ import json
 import os
 import re
 from importlib import resources
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ._value import Value
 
@@ -37,6 +37,11 @@ class NoSuchEntry(KeyError):
     def __init__(self, name: str):
         super().__init__(name)
         self.name = name
+
+
+class RegistryDataError(ValueError):
+    """Registry data that cannot be used: a missing or malformed field of an
+    entry, a series too long for its group, or an unreadable override file."""
 
 
 class PoincareSeries(Value):
@@ -134,33 +139,95 @@ def flip_symmetric_square(s: PoincareSeries) -> PoincareSeries:
 
 
 class GroupExpr(Value):
-    """Base class for the small expression language of centraliser shapes."""
+    """Base class for the small expression language of centraliser shapes.
+
+    Each node knows its rational cohomology series, the registry entries it
+    names (depth first, left to right) and its printed form.  A child's series
+    is taken through :func:`series_of`, so every node passes through it.
+    """
+
+    def series(self, registry: Registry) -> PoincareSeries:
+        raise NotImplementedError
+
+    def registry_names(self) -> Iterator[str]:
+        return iter(())
 
 
 class Finite(GroupExpr):
-    pass
+    def series(self, registry: Registry) -> PoincareSeries:
+        return series_point()
+
+    def __str__(self) -> str:
+        return "finite"
 
 
 class FreeGroup(GroupExpr):
     rank: int
 
+    def series(self, registry: Registry) -> PoincareSeries:
+        return series_free_group(self.rank)
+
+    def __str__(self) -> str:
+        return f"free({self.rank})"
+
 
 class FreeAbelian(GroupExpr):
     rank: int
+
+    def series(self, registry: Registry) -> PoincareSeries:
+        return series_free_abelian(self.rank)
+
+    def __str__(self) -> str:
+        return f"Z^{self.rank}"
 
 
 class RegistryRef(GroupExpr):
     name: str
 
+    def series(self, registry: Registry) -> PoincareSeries:
+        entry = registry.lookup(self.name)
+        if not entry.known:
+            raise UnknownCohomology(self.name)
+        assert entry.series is not None
+        return entry.series
+
+    def registry_names(self) -> Iterator[str]:
+        yield self.name
+
+    def __str__(self) -> str:
+        return self.name
+
 
 class Product(GroupExpr):
     factors: tuple[GroupExpr, ...]
+
+    def series(self, registry: Registry) -> PoincareSeries:
+        result = series_point()
+        for factor in self.factors:
+            result = result.convolve(series_of(factor, registry))
+        return result
+
+    def registry_names(self) -> Iterator[str]:
+        for factor in self.factors:
+            yield from factor.registry_names()
+
+    def __str__(self) -> str:
+        return " x ".join(str(f) for f in self.factors)
 
 
 class FlipSquare(GroupExpr):
     """Z/2-invariants of inner x inner where Z/2 swaps the factors."""
 
     inner: GroupExpr
+
+    def series(self, registry: Registry) -> PoincareSeries:
+        return flip_symmetric_square(series_of(self.inner, registry))
+
+    def registry_names(self) -> Iterator[str]:
+        return self.inner.registry_names()
+
+    def __str__(self) -> str:
+        return f"flip_square({self.inner})"
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +270,57 @@ class Registry:
     @classmethod
     def from_json_text(cls, text: str) -> "Registry":
         raw = json.loads(text)
+        raw_entries = raw.get("entries") if isinstance(raw, dict) else None
+        if not isinstance(raw_entries, dict):
+            raise RegistryDataError("registry document: entries missing or not an object")
+        version = raw.get("version", 0)
+        if not isinstance(version, int):
+            raise RegistryDataError(f"registry document: version {version!r} is not an integer")
         entries: dict[str, RegistryEntry] = {}
-        for name, body in raw["entries"].items():
-            status = body["status"]
+        for name, body in raw_entries.items():
+            if not isinstance(body, dict):
+                raise RegistryDataError(f"registry entry {name}: not an object")
+            status = body.get("status")
             if status not in ("known", "unknown"):
-                raise ValueError(f"registry entry {name}: bad status {status!r}")
+                raise RegistryDataError(f"registry entry {name}: bad status {status!r}")
             citation = body.get("citation", "")
             if status == "known":
                 if not citation:
-                    raise ValueError(f"registry entry {name}: missing citation")
-                series = PoincareSeries.from_dims(
-                    {int(k): int(v) for k, v in body["dims"].items()}
-                )
+                    raise RegistryDataError(f"registry entry {name}: missing citation")
+                dims = body.get("dims")
+                if not isinstance(dims, dict):
+                    raise RegistryDataError(
+                        f"registry entry {name}: dims missing or not an object"
+                    )
+                try:
+                    series = PoincareSeries.from_dims({int(k): int(v) for k, v in dims.items()})
+                except (TypeError, ValueError) as exc:
+                    raise RegistryDataError(f"registry entry {name}: bad dims: {exc}") from exc
                 if series.dim(0) < 1:
-                    raise ValueError(f"registry entry {name}: dims[0] must be >= 1")
+                    raise RegistryDataError(f"registry entry {name}: dims[0] must be >= 1")
             else:
                 if "dims" in body:
-                    raise ValueError(f"registry entry {name}: unknown entries carry no dims")
+                    raise RegistryDataError(
+                        f"registry entry {name}: unknown entries carry no dims"
+                    )
                 series = None
             entries[name] = RegistryEntry(
                 name=name, status=status, series=series, citation=citation
             )
-        return cls(entries, version=int(raw.get("version", 0)))
+        return cls(entries, version=version)
 
     @classmethod
     def load_default(cls) -> "Registry":
         override = os.environ.get(REGISTRY_ENV_VAR)
         if override:
-            with open(override, "r", encoding="utf-8") as fh:
-                return cls.from_json_text(fh.read())
+            try:
+                with open(override, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise RegistryDataError(
+                    f"cannot read {REGISTRY_ENV_VAR}={override}: {exc.strerror}"
+                ) from exc
+            return cls.from_json_text(text)
         text = (
             resources.files("tatek")
             .joinpath("data", _DEFAULT_REGISTRY_RESOURCE)
@@ -287,44 +376,15 @@ def series_of(expr: GroupExpr, registry: Registry | None = None) -> PoincareSeri
     Raises :class:`UnknownCohomology` naming the blocking entry as soon as an
     unknown registry value is touched, so unknowns poison eagerly.
     """
-    reg = registry or default_registry()
-    if isinstance(expr, Finite):
-        return series_point()
-    if isinstance(expr, FreeGroup):
-        return series_free_group(expr.rank)
-    if isinstance(expr, FreeAbelian):
-        return series_free_abelian(expr.rank)
-    if isinstance(expr, RegistryRef):
-        entry = reg.lookup(expr.name)
-        if not entry.known:
-            raise UnknownCohomology(expr.name)
-        assert entry.series is not None
-        return entry.series
-    if isinstance(expr, Product):
-        result = series_point()
-        for factor in expr.factors:
-            result = result.convolve(series_of(factor, reg))
-        return result
-    if isinstance(expr, FlipSquare):
-        return flip_symmetric_square(series_of(expr.inner, reg))
-    raise TypeError(f"not a group expression: {expr!r}")
+    return expr.series(registry or default_registry())
 
 
 def citations_of(expr: GroupExpr, registry: Registry | None = None) -> list[str]:
     """Citations of every registry entry referenced by an expression."""
     reg = registry or default_registry()
     out: list[str] = []
-
-    def walk(e: GroupExpr) -> None:
-        if isinstance(e, RegistryRef):
-            entry = reg.lookup(e.name)
-            if entry.citation and entry.citation not in out:
-                out.append(entry.citation)
-        elif isinstance(e, Product):
-            for f in e.factors:
-                walk(f)
-        elif isinstance(e, FlipSquare):
-            walk(e.inner)
-
-    walk(expr)
+    for name in expr.registry_names():
+        citation = reg.lookup(name).citation
+        if citation and citation not in out:
+            out.append(citation)
     return out

@@ -9,7 +9,7 @@ import pytest
 from tatek import cli
 from tatek.graphs import canonical_graph, dumps as graph_dumps, to_json_obj
 from tatek.records import parse_records
-from tatek.series import REGISTRY_ENV_VAR
+from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
 
 # Representative invocations of every documented subcommand, both formats.
 COMMANDS = [
@@ -291,3 +291,108 @@ def test_import_loads_every_layer_but_not_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "\n\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tate", "--p", "1000000000000000003", "--n", "5"],
+        ["classes", "--p", "1000000000000000003", "--n", "5"],
+        ["rational", "--p", "1000000000000000003", "--n", "5"],
+        ["example", "--name", "mcg", "--p", "1000000000000000003"],
+        ["normalize", "--demo", "canonical_p1000000000000000003_k1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_prime_above_bound_is_refused(argv, capsys):
+    code, out, err = _main_in_process(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: PrimeTooLarge: p = 1000000000000000003 exceeds the supported bound "
+        "100000000000\n"
+    )
+
+
+def test_graph_json_prime_above_bound_is_refused(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    obj = dict(to_json_obj(canonical_graph(3, 1)), p=1000000000000000003)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: PrimeTooLarge: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def registry_override(tmp_path, monkeypatch):
+    """Point the registry override at a file the test writes (or leaves missing)."""
+    path = tmp_path / "registry.json"
+    monkeypatch.setenv(REGISTRY_ENV_VAR, str(path))
+    reset_default_registry()
+    yield path
+    reset_default_registry()
+
+
+def _bundled_registry() -> dict:
+    path = Path(SRC_DIR) / "tatek" / "data" / "cohomology_registry.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _with_entry(name: str, body) -> dict:
+    data = _bundled_registry()
+    data["entries"][name] = body
+    return data
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (
+            _with_entry("AutF4", {"status": "known", "citation": "x"}),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF4: dims missing or not an object",
+        ),
+        (
+            {"version": 1},
+            ["tate", "--p", "5", "--n", "6"],
+            "registry document: entries missing or not an object",
+        ),
+        (
+            dict(_bundled_registry(), version="2"),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry document: version '2' is not an integer",
+        ),
+        (
+            _with_entry("AutF4", ["known"]),
+            ["table", "--which", "4"],
+            "registry entry AutF4: not an object",
+        ),
+        (
+            _with_entry("AutF4", {"status": "known", "citation": "x", "dims": {"4": "y"}}),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF4: bad dims: invalid literal for int() with base 10: 'y'",
+        ),
+        (
+            _with_entry("AutF2", {"status": "known", "citation": "x", "dims": {"99": 1, "0": 1}}),
+            ["tate", "--p", "5", "--n", "6"],
+            "class theta(0,2): the registry dims of finite x finite x AutF2 reach degree 99, "
+            "above 2n = 12",
+        ),
+    ],
+    ids=[
+        "known_without_dims", "no_entries", "version", "entry_not_object", "bad_dims", "above_2n"
+    ],
+)
+def test_registry_data_errors(doc, argv, message, registry_override, capsys):
+    registry_override.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: RegistryDataError: {message}\n"
+
+
+def test_unreadable_registry_override(registry_override, capsys):
+    code, out, err = _main_in_process(capsys, "tate", "--p", "5", "--n", "6")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: RegistryDataError: cannot read {REGISTRY_ENV_VAR}={registry_override}: "
+        "No such file or directory\n"
+    )

@@ -1,0 +1,159 @@
+"""Golden CLI outputs: stdout, stderr and exit code of every invocation below,
+replayed in process through ``cli.main`` and compared byte for byte with the
+fixtures in ``tests/data/golden_cli/``.
+
+The fixtures were captured from the code before the CLI was restructured.  To
+record them again after an intended output change, run from the repository
+root::
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tatek import cli
+from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden_cli"
+
+# The ten commands of acceptance criterion 10.
+CRITERION_10 = [
+    ["orbits", "--p", "5"],
+    ["orbits", "--p", "7", "--kind", "theta", "--list"],
+    ["classes", "--p", "11", "--n", "12"],
+    ["tate", "--p", "11", "--n", "12"],
+    ["rational", "--p", "5", "--n", "7"],
+    ["table", "--which", "4"],
+    ["table", "--which", "5"],
+    ["normalize", "--demo", "scrambled_p5_k2_seed3"],
+    ["example", "--name", "amalgam", "--p", "7"],
+    ["selftest", "--max-p", "13"],
+]
+
+EXAMPLES = [
+    ["example", "--name", "sl3"],
+    ["example", "--name", "gl", "--p", "5"],
+    ["example", "--name", "gl", "--p", "29", "--class-number", "2"],
+    ["example", "--name", "sp", "--p", "7"],
+    ["example", "--name", "sp", "--p", "23"],
+    ["example", "--name", "sp", "--p", "29", "--class-number", "4"],
+    ["example", "--name", "mcg", "--p", "11"],
+    ["example", "--name", "amalgam", "--p", "5"],
+]
+
+# Commands shown in both formats, with and without citations.
+FULL = CRITERION_10 + EXAMPLES + [
+    ["tate", "--p", "7", "--n", "11"],
+    ["rational", "--p", "7", "--n", "11"],
+    ["classes", "--p", "5", "--n", "8"],
+    ["classes", "--p", "2", "--n", "2"],
+    ["classes", "--p", "7", "--n", "3"],
+]
+
+# Commands shown in both formats only.
+BOTH_FORMATS = [
+    ["tate", "--p", "3", "--n", "9"],
+    ["tate", "--p", "5", "--n", "6"],
+    ["rational", "--p", "3", "--n", "3"],
+    ["rational", "--p", "5", "--n", "8"],
+    ["normalize", "--demo", "canonical_p3_k2"],
+    ["normalize", "--demo", "scrambled_p3_k2_seed7"],
+    ["normalize", "--demo", "scrambled_p2_k3_seed1"],
+] + [
+    ["orbits", "--p", str(p), "--list", *kind]
+    for p in (2, 3)
+    for kind in ([], ["--kind", "edge"], ["--kind", "rose"], ["--kind", "theta"])
+]
+
+# Domain and usage errors, text format.
+ERRORS = [
+    ["tate", "--p", "4", "--n", "5"],
+    ["tate", "--p", "5", "--n", "9"],
+    ["orbits", "--p", "4"],
+    ["orbits", "--p", "2003"],
+    ["example", "--name", "sl3", "--p", "5"],
+    ["example", "--name", "sl3", "--class-number", "1"],
+    ["example", "--name", "gl"],
+    ["example", "--name", "gl", "--p", "3"],
+    ["example", "--name", "gl", "--p", "29"],
+    ["example", "--name", "gl", "--p", "5", "--class-number", "0"],
+    ["example", "--name", "sp", "--p", "29"],
+    ["example", "--name", "mcg", "--p", "11", "--class-number", "1"],
+    ["example", "--name", "mcg", "--p", "4"],
+    ["example", "--name", "amalgam", "--p", "5", "--class-number", "1"],
+    ["example", "--name", "amalgam", "--p", "2"],
+    ["normalize"],
+    ["normalize", "--demo", "not_a_demo"],
+    ["normalize", "--demo", "canonical_p4_k2"],
+    ["normalize", "--demo", "canonical_p3_k1", "--input", "graph.json"],
+    [],
+    ["tate", "--p", "5"],
+    ["orbits", "--p", "five"],
+]
+
+INVOCATIONS = (
+    [
+        [*args, "--format", fmt, *cite]
+        for args in FULL
+        for fmt in ("text", "records")
+        for cite in ([], ["--no-cite"])
+    ]
+    + [[*args, "--format", fmt] for args in BOTH_FORMATS for fmt in ("text", "records")]
+    + ERRORS
+)
+
+
+def fixture_name(argv: list[str]) -> str:
+    return "_".join(a.lstrip("-").replace(".", "_") for a in argv) or "no_arguments"
+
+
+def run_main(argv: list[str]) -> dict:
+    """Run ``cli.main`` in process; the bundled registry, an 80-column
+    terminal for argparse's messages."""
+    saved = {key: os.environ.pop(key, None) for key in (REGISTRY_ENV_VAR, "COLUMNS")}
+    os.environ["COLUMNS"] = "80"
+    reset_default_registry()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        del os.environ["COLUMNS"]
+        os.environ.update({k: v for k, v in saved.items() if v is not None})
+        reset_default_registry()
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_invocation_names_are_unique():
+    names = [fixture_name(argv) for argv in INVOCATIONS]
+    assert len(set(names)) == len(names)
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(names)
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=fixture_name)
+def test_cli_output_matches_golden(argv):
+    expected = json.loads((GOLDEN_DIR / f"{fixture_name(argv)}.json").read_text(encoding="utf-8"))
+    assert run_main(argv) == expected
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for stale in GOLDEN_DIR.glob("*.json"):
+        stale.unlink()
+    for argv in INVOCATIONS:
+        text = json.dumps(run_main(argv), indent=1) + "\n"
+        (GOLDEN_DIR / f"{fixture_name(argv)}.json").write_text(text, encoding="utf-8")
+    print(f"wrote {len(INVOCATIONS)} fixtures to {GOLDEN_DIR}")

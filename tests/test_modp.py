@@ -1,11 +1,14 @@
 import pytest
 
 from tatek.modp import (
+    MAX_PRIME,
     ClosureExceedsBound,
     GENERIC_STABILISER_ORDER,
     Mat2P,
     ModulusMismatch,
+    PrimeTooLarge,
     StabiliserKind,
+    check_prime,
     coordinate_swap,
     group_closure,
     is_prime,
@@ -13,6 +16,7 @@ from tatek.modp import (
     negate_both,
     quarter_turn,
     sixth_turn,
+    stabiliser_generators,
     stabiliser_group,
 )
 
@@ -156,3 +160,25 @@ def test_rotation_relations():
     for p in (2, 3, 5, 7, 13):
         assert quarter_turn(p).power(2) == negate_both(p)
         assert sixth_turn(p).power(3) == negate_both(p)
+
+
+def test_check_prime_refuses_moduli_above_the_bound():
+    # 10**18 + 3 is prime: trial division would take about 10**9 steps.
+    for p in (MAX_PRIME + 1, 10**18 + 3):
+        with pytest.raises(PrimeTooLarge, match=f"p = {p} exceeds the supported bound"):
+            check_prime(p)
+    assert issubclass(PrimeTooLarge, ValueError)
+    # The largest prime below the bound is still accepted.
+    assert check_prime(99_999_999_977) == 99_999_999_977
+
+
+def test_is_prime_runs_once_per_modulus():
+    is_prime.cache_clear()
+    group = group_closure(stabiliser_generators(StabiliserKind.THETA_VERTEX, 401))
+    assert len(group.elements) == 12
+    info = is_prime.cache_info()
+    assert info.misses == 1 and info.hits > 12
+    with pytest.raises(ValueError):
+        Mat2P(1, 0, 0, 1, 9)
+    with pytest.raises(ValueError):
+        Mat2P(1, 0, 0, 1, 9)

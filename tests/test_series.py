@@ -194,3 +194,11 @@ def test_citations_of_walks_expressions():
     cites = citations_of(expr)
     assert len(cites) == 2
     assert any("Gerlits" in c for c in cites)
+
+
+def test_group_expressions_print_and_name_their_entries():
+    inner = Product((Finite(), RegistryRef("AutF2")))
+    expr = Product((FreeAbelian(2), FreeGroup(3), RegistryRef("AutF4"), FlipSquare(inner)))
+    assert str(expr) == "Z^2 x free(3) x AutF4 x flip_square(finite x AutF2)"
+    assert list(expr.registry_names()) == ["AutF4", "AutF2"]
+    assert list(Finite().registry_names()) == []
