@@ -11,6 +11,7 @@ Exit codes:
   2  usage error
   3  domain error (the module error name is printed verbatim)
   4  the requested result is entirely unknown
+  5  internal error (a bug in tatek, not in the input)
 """
 
 from __future__ import annotations
@@ -46,7 +47,13 @@ from .graphs import (
     rank as graph_rank,
     scramble_graph,
 )
-from .modp import ClosureExceedsBound, ModulusMismatch, PrimeTooLarge, StabiliserKind
+from .modp import (
+    ClosureExceedsBound,
+    ModulusMismatch,
+    PrimeTooLarge,
+    StabiliserKind,
+    check_prime,
+)
 from .orbits import (
     MAX_ORBIT_PRIME,
     NonIntegralOrbitCount,
@@ -64,6 +71,18 @@ EXIT_SELFTEST_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_ALL_UNKNOWN = 4
+EXIT_INTERNAL_ERROR = 5
+
+# The largest demo graph, in half-edges 2p(k+1) of its canonical form.
+# Normalising a scrambled demo costs O(H) per move and makes up to about H/8
+# moves (p = 2), so it grows as H^2: at 4,000 half-edges the slowest of 60
+# seeds (p = 2, 3) took 1.25 s on a 2-vCPU Xeon with Python 3.11.
+MAX_DEMO_HALF_EDGES = 4000
+
+
+class DemoGraphTooLarge(ValueError):
+    """A demo graph name asks for more than ``MAX_DEMO_HALF_EDGES`` half-edges."""
+
 
 _DOMAIN_ERRORS = (
     OutOfRange,
@@ -81,6 +100,7 @@ _DOMAIN_ERRORS = (
     NonIntegralOrbitCount,
     OrbitPrimeTooLarge,
     PrimeTooLarge,
+    DemoGraphTooLarge,
     ValueError,
 )
 
@@ -292,23 +312,32 @@ def cmd_table(args) -> int:
 
 
 def demo_graph(name: str):
-    """Built-in graphs: canonical_p<P>_k<K> and scrambled_p<P>_k<K>_seed<S>."""
+    """Built-in graphs: canonical_p<P>_k<K> and scrambled_p<P>_k<K>_seed<S>,
+    of at most ``MAX_DEMO_HALF_EDGES`` half-edges before scrambling."""
     import re
 
-    match = re.fullmatch(r"canonical_p(\d+)_k(\d+)", name)
-    if match:
-        return canonical_graph(int(match.group(1)), int(match.group(2)))
-    match = re.fullmatch(r"scrambled_p(\d+)_k(\d+)_seed(\d+)", name)
-    if match:
-        from random import Random
+    canonical = re.fullmatch(r"canonical_p(\d+)_k(\d+)", name)
+    match = canonical or re.fullmatch(r"scrambled_p(\d+)_k(\d+)_seed(\d+)", name)
+    if not match:
+        raise ValueError(
+            f"unknown demo graph {name!r}; use canonical_p<P>_k<K> or "
+            "scrambled_p<P>_k<K>_seed<S>"
+        )
+    p, k = int(match.group(1)), int(match.group(2))
+    check_prime(p)
+    half_edges = 2 * p * (k + 1)
+    if half_edges > MAX_DEMO_HALF_EDGES:
+        raise DemoGraphTooLarge(
+            f"demo graph {name} has 2p(k+1) = {half_edges} half-edges, "
+            f"above the bound {MAX_DEMO_HALF_EDGES}"
+        )
+    g = canonical_graph(p, k)
+    if canonical:
+        return g
+    from random import Random
 
-        p, k, seed = (int(x) for x in match.groups())
-        scrambled, _ = scramble_graph(canonical_graph(p, k), Random(seed))
-        return scrambled
-    raise ValueError(
-        f"unknown demo graph {name!r}; use canonical_p<P>_k<K> or "
-        "scrambled_p<P>_k<K>_seed<S>"
-    )
+    scrambled, _ = scramble_graph(g, Random(int(match.group(3))))
+    return scrambled
 
 
 def cmd_normalize(args) -> int:
@@ -474,6 +503,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
         return _domain_error(exc)
+    except Exception as exc:
+        # Any other exception is a bug in tatek, not a fault in the input.
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

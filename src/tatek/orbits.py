@@ -2,9 +2,12 @@
 
 Orbit counting is done twice on purpose: once by averaging fixed-point counts
 over the group (the lemma that is not Burnside's), in O(|G|), and once by
-explicitly partitioning the p^2 - 1 nonzero vectors.  The partition walks flat
-indices v = l*p + m over a p^2-byte "seen" map and costs O(p^2 * |G|) time;
-primes above ``MAX_ORBIT_PRIME`` are refused before anything is allocated.
+explicitly partitioning the p^2 - 1 nonzero vectors.  The partition compares
+every vector with its images under each group element and keeps a p^2-byte
+mask over flat indices v = l*p + m whose zeros are the orbit minima; it is set
+a row at a time by slice assignment, O(p * |G|) slices for the stabiliser
+groups, whose entries all lie in {0, +-1}.  Primes above ``MAX_ORBIT_PRIME``
+are refused before anything is allocated.
 The closed forms are claims that the tests check against both computations,
 never the implementation itself.  All arithmetic is exact integer arithmetic.
 """
@@ -23,7 +26,10 @@ from .modp import (
 )
 
 
-# The explicit partition allocates p^2 bytes and visits p^2 * |G| images.
+# The explicit partition allocates a p^2-byte mask (4 MB at the bound), and
+# ``orbit_report(list_orbits=True)`` decodes all p^2 - 1 vectors into (l, m)
+# tuples, which is what the bound keeps small; counting at p = 1999 takes a
+# few tens of milliseconds per kind.
 MAX_ORBIT_PRIME = 2000
 
 
@@ -103,25 +109,72 @@ def burnside_orbit_count(g: MatrixGroup) -> int:
     return orbits
 
 
-def _orbit_starts(g: MatrixGroup) -> list[int]:
-    """The brute-force partition: the smallest flat index v = l*p + m of each
-    orbit on nonzero vectors, ascending.
+def _minimum_mask(g: MatrixGroup) -> bytearray:
+    """The brute-force partition as a p^2-byte map over flat indices
+    v = l*p + m, whose order is the lexicographic order of (l, m): byte v is 0
+    exactly when (l, m) is nonzero and no element of the group maps it to a
+    smaller index, that is, when v is the smallest member of its orbit.
 
-    Each orbit is marked in a p^2-byte map from its smallest unseen index, so
-    flat order equals the lexicographic order of (l, m).
+    For one element (a b; c d) and one row l, the m with g(l, m) < (l, m) form
+    at most two cyclic windows of the row when the coefficient that decides
+    (b, or d where b = 0 and a*l = l) is 0 or +-1; those windows are set by
+    slice assignment.  Any other row is tested one vector at a time, so the
+    map is exact for every group; the entries of the three stabiliser groups
+    all lie in {0, +-1}, so for them that loop never runs.  O(p |G|) slice
+    assignments on p^2 bytes.
     """
     p = check_orbit_prime(g.p)
-    entries = [m.key() for m in g.elements]
-    seen = bytearray(p * p)
-    seen[0] = 1
+    mask = bytearray(p * p)
+    ones = memoryview(b"\x01" * p)
+    minus_one = p - 1
+    for a, b, c, d in (e.key() for e in g.elements):
+        for l in range(p):
+            row = l * p
+            if b == 1 or b == minus_one:
+                # The first coordinate a*l +- m is below l on a window of l
+                # cyclically consecutive m, and equals l at one m, the tie.
+                if b == 1:
+                    start, tie = -a * l % p, (1 - a) * l % p
+                else:
+                    start, tie = ((a - 1) * l + 1) % p, (a - 1) * l % p
+                end = start + l
+                if end <= p:
+                    mask[row + start : row + end] = ones[:l]
+                else:
+                    mask[row + start : row + p] = ones[: p - start]
+                    mask[row : row + end - p] = ones[: end - p]
+                if (c * l + d * tie) % p < tie:
+                    mask[row + tie] = 1
+            elif b == 0 and a * l % p != l:
+                # The first coordinate a*l is the same along the row.
+                if a * l % p < l:
+                    mask[row : row + p] = ones
+            elif b == 0 and d == 1:
+                # The second coordinate t + m, t = c*l, is below m once it wraps.
+                t = c * l % p
+                mask[row + p - t : row + p] = ones[:t]
+            elif b == 0 and d == minus_one:
+                # t - m (mod p) is below m for m in (t/2, t] and in ((t + p)/2, p).
+                t = c * l % p
+                half, wrap = t // 2 + 1, (t + p) // 2 + 1
+                mask[row + half : row + t + 1] = ones[: t + 1 - half]
+                mask[row + wrap : row + p] = ones[: p - wrap]
+            else:
+                for m in range(p):
+                    x = (a * l + b * m) % p
+                    if x < l or (x == l and (c * l + d * m) % p < m):
+                        mask[row + m] = 1
+    mask[0] = 1
+    return mask
+
+
+def _orbit_starts(mask: bytearray) -> list[int]:
+    """The smallest flat index of each orbit, ascending: the zeros of the mask."""
     starts = []
-    v = seen.find(0)
+    v = mask.find(0)
     while v >= 0:
         starts.append(v)
-        l, m = divmod(v, p)
-        for a, b, c, d in entries:
-            seen[(a * l + b * m) % p * p + (c * l + d * m) % p] = 1
-        v = seen.find(0, v + 1)
+        v = mask.find(0, v + 1)
     return starts
 
 
@@ -141,10 +194,10 @@ def enumerate_orbits(g: MatrixGroup) -> list[list[tuple[int, int]]]:
     """Explicit orbit partition of the nonzero vectors; the independent oracle.
 
     Orbits are listed by their lexicographically smallest element, each orbit
-    sorted, so the output is deterministic.  O(p^2 * |G|) time on p^2 bytes,
-    plus the p^2 - 1 listed tuples.
+    sorted, so the output is deterministic.  The starts are the zeros of the
+    minimum mask; decoding them costs O(p^2) for the p^2 - 1 listed tuples.
     """
-    return _decode_orbits(g, _orbit_starts(g))
+    return _decode_orbits(g, _orbit_starts(_minimum_mask(g)))
 
 
 def closed_form_orbits(kind: StabiliserKind, p: int) -> int:
@@ -185,25 +238,26 @@ def orbit_report(
 ) -> OrbitReport:
     """Burnside, the brute-force partition and the closed form for one kind.
 
-    The partition is counted without building its (l, m) tuples unless
-    ``list_orbits`` asks for them.
+    The partition is counted as the zeros of the minimum mask, without
+    building its (l, m) tuples unless ``list_orbits`` asks for them.
     """
     check_orbit_prime(p)
     group = stabiliser_group(kind, p)
     per_element = tuple((m, fixed_points(m).count) for m in group.elements)
     burnside = burnside_orbit_count(group)
-    starts = _orbit_starts(group)
+    mask = _minimum_mask(group)
+    brute = mask.count(0)
     closed = closed_form_orbits(kind, p)
     return OrbitReport(
         kind=kind,
         p=p,
         per_element_counts=per_element,
         orbit_count=burnside,
-        brute_force_count=len(starts),
+        brute_force_count=brute,
         closed_form=closed,
-        match=(burnside == len(starts) == closed),
+        match=(burnside == brute == closed),
         orbits=(
-            tuple(tuple(o) for o in _decode_orbits(group, starts))
+            tuple(tuple(o) for o in _decode_orbits(group, _orbit_starts(mask)))
             if list_orbits
             else None
         ),

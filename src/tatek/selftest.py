@@ -224,9 +224,17 @@ def _check_class_counts(max_p: int) -> Check:
 
 
 def run_selftest(max_p: int = 31) -> tuple[list[str], bool]:
-    """Run all sweeps up to max_p; returns (report lines, all passed)."""
+    """Run all sweeps up to max_p; returns (report lines, all passed).
+
+    ``max_p`` above ``orbits.MAX_ORBIT_PRIME`` is refused before any check runs.
+    """
     if max_p < 2:
         raise ValueError("max_p must be at least 2")
+    # The orbit sweep would reach the bound only after every smaller prime.
+    if max_p > orbits.MAX_ORBIT_PRIME:
+        raise orbits.OrbitPrimeTooLarge(
+            f"max_p = {max_p} exceeds the orbit partition bound {orbits.MAX_ORBIT_PRIME}"
+        )
     checks = [
         _check_stabiliser_orders(max_p),
         _check_orbit_counts(max_p),

@@ -396,3 +396,56 @@ def test_unreadable_registry_override(registry_override, capsys):
         f"error: RegistryDataError: cannot read {REGISTRY_ENV_VAR}={registry_override}: "
         "No such file or directory\n"
     )
+
+
+def test_selftest_refuses_max_p_above_the_orbit_bound(monkeypatch, capsys):
+    # Refused before any sweep starts: a sweep that ran would call this.
+    def no_sweep(limit):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr("tatek.selftest.primes_up_to", no_sweep)
+    code, out, err = _main_in_process(capsys, "selftest", "--max-p", "2003")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: OrbitPrimeTooLarge: max_p = 2003 exceeds the orbit partition bound 2000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, half_edges",
+    [
+        ("canonical_p1000003_k2", 6000018),
+        ("canonical_p5_k100000000", 1000000010),
+        ("scrambled_p1000003_k2_seed1", 6000018),
+        ("scrambled_p5_k100000000_seed7", 1000000010),
+        ("canonical_p2_k1000", 4004),
+    ],
+)
+def test_normalize_demo_above_the_size_bound_is_refused(name, half_edges, capsys):
+    code, out, err = _main_in_process(capsys, "normalize", "--demo", name)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: DemoGraphTooLarge: demo graph {name} has 2p(k+1) = {half_edges} "
+        f"half-edges, above the bound {cli.MAX_DEMO_HALF_EDGES}\n"
+    )
+
+
+def test_normalize_demo_at_the_size_bound_runs(capsys):
+    assert cli.MAX_DEMO_HALF_EDGES == 4000
+    code, out, err = _main_in_process(
+        capsys, "normalize", "--demo", "canonical_p2_k999", "--format", "records"
+    )
+    assert (code, out, err) == (0, "record=normal_form p=2 k=999 rank=1999 moves=0\n", "")
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(graph):
+        raise AssertionError("normalization ended off normal form: steps [2]")
+
+    monkeypatch.setattr(cli, "normalize", broken)
+    code, out, err = _main_in_process(capsys, "normalize", "--demo", "canonical_p3_k1")
+    assert (code, out) == (cli.EXIT_INTERNAL_ERROR, "")
+    assert cli.EXIT_INTERNAL_ERROR == 5
+    assert err == (
+        "internal error: AssertionError: normalization ended off normal form: steps [2]\n"
+    )

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, example, find, given, settings, strategies as st
 
 from expected_tables import ROWS, expected_count, row_matrices
 from tatek.modp import (
+    ClosureExceedsBound,
     Mat2P,
     MatrixGroup,
     StabiliserKind,
@@ -14,6 +16,8 @@ from tatek.modp import (
 )
 from tatek.orbits import (
     MAX_ORBIT_PRIME,
+    _minimum_mask,
+    _orbit_starts,
     OrbitPrimeTooLarge,
     betti_closed_form,
     burnside_orbit_count,
@@ -25,6 +29,7 @@ from tatek.orbits import (
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+PRIMES_TO_97 = tuple(p for p in range(2, 98) if is_prime(p))
 
 
 def trivial_group(p: int) -> MatrixGroup:
@@ -207,3 +212,134 @@ def test_betti_closed_form_window():
     for p in range(2, 98):
         if is_prime(p):
             assert quotient_summary(p).betti_one == betti_closed_form(p)
+
+
+def reference_orbit_starts(g: MatrixGroup) -> list[int]:
+    """The flat-index walker the minimum mask replaced, frozen here: each orbit
+    is marked image by image from its smallest unseen index v = l*p + m."""
+    p = g.p
+    entries = [m.key() for m in g.elements]
+    seen = bytearray(p * p)
+    seen[0] = 1
+    starts = []
+    v = seen.find(0)
+    while v >= 0:
+        starts.append(v)
+        l, m = divmod(v, p)
+        for a, b, c, d in entries:
+            seen[(a * l + b * m) % p * p + (c * l + d * m) % p] = 1
+        v = seen.find(0, v + 1)
+    return starts
+
+
+def mask_starts(g: MatrixGroup) -> list[int]:
+    return _orbit_starts(_minimum_mask(g))
+
+
+def _order(key: tuple[int, int, int, int], p: int) -> int:
+    """Multiplicative order of an invertible matrix, on raw entries."""
+    a, b, c, d = key
+    x, n = key, 1
+    while x != (1, 0, 0, 1):
+        xa, xb, xc, xd = x
+        x = (
+            (xa * a + xb * c) % p,
+            (xa * b + xb * d) % p,
+            (xc * a + xd * c) % p,
+            (xc * b + xd * d) % p,
+        )
+        n += 1
+    return n
+
+
+@st.composite
+def small_order_matrices(draw, p: int) -> Mat2P:
+    """An invertible matrix with arbitrary entries, or one of the shape
+    (1 0; c d), raised to a power that leaves an order of at most 400."""
+    if draw(st.booleans()):
+        key = (1, 0, draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1)))
+    else:
+        key = tuple(draw(st.integers(0, p - 1)) for _ in range(4))
+        assume((key[0] * key[3] - key[1] * key[2]) % p)
+    n = _order(key, p)
+    q = draw(st.sampled_from([q for q in range(1, min(n, 400) + 1) if n % q == 0]))
+    return Mat2P(*key, p).power(n // q)
+
+
+@st.composite
+def small_groups(draw) -> MatrixGroup:
+    """Groups closed from one or two small-order generators at a prime <= 97."""
+    p = draw(st.sampled_from(PRIMES_TO_97))
+    generators = draw(st.lists(small_order_matrices(p), min_size=1, max_size=2))
+    try:
+        return group_closure(generators, bound=400)
+    except ClosureExceedsBound:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_groups())
+@example(group_closure([Mat2P(1, 0, 3, 2, 7)]))
+@example(group_closure([Mat2P(2, 3, 1, 1, 5)]))
+def test_mask_partition_matches_references_on_random_groups(group):
+    starts = reference_orbit_starts(group)
+    assert mask_starts(group) == starts
+    orbits = enumerate_orbits(group)
+    assert orbits == reference_orbits(group)
+    assert [orbit[0] for orbit in orbits] == [divmod(v, group.p) for v in starts]
+
+
+def test_random_groups_reach_the_row_loop():
+    # The mask tests a row one vector at a time for an entry b outside
+    # {0, +-1}, and for b = 0 with a = 1 and d outside {+-1}: the strategy
+    # draws both (find raises NoSuchExample otherwise).
+    settings_ = settings(max_examples=2000, database=None)
+    find(
+        small_groups(),
+        lambda g: any(m.b not in (0, 1, g.p - 1) for m in g.elements),
+        settings=settings_,
+    )
+    find(
+        small_groups(),
+        lambda g: any(m.b == 0 and m.a == 1 and m.d not in (1, g.p - 1) for m in g.elements),
+        settings=settings_,
+    )
+
+
+def test_mask_partition_at_p_2_and_3_and_for_the_trivial_group():
+    for p in (2, 3):
+        groups = [trivial_group(p)] + [stabiliser_group(k, p) for k in StabiliserKind]
+        groups += [group_closure([Mat2P(1, 1, 0, 1, p)]), group_closure([Mat2P(1, 0, 1, 1, p)])]
+        for group in groups:
+            assert mask_starts(group) == reference_orbit_starts(group), (p, group.order)
+            assert enumerate_orbits(group) == reference_orbits(group)
+    for p in (2, 3, 5, 97):
+        assert mask_starts(trivial_group(p)) == list(range(1, p * p))
+
+
+def test_stabiliser_entries_lie_in_zero_and_plus_minus_one():
+    # So the stabiliser partitions never take the one-vector-at-a-time loop.
+    for p in PRIMES_TO_97:
+        for kind in StabiliserKind:
+            group = stabiliser_group(kind, p)
+            for m in group.elements:
+                assert set(m.key()) <= {0, 1, p - 1}, (kind, p, m)
+
+
+def test_orbit_report_matches_closed_form_through_the_benchmark_range():
+    for p in range(2, 451):
+        if not is_prime(p):
+            continue
+        for kind in StabiliserKind:
+            report = orbit_report(kind, p)
+            assert report.match, (kind, p)
+            assert report.brute_force_count == closed_form_orbits(kind, p), (kind, p)
+
+
+def test_orbit_report_matches_closed_form_at_the_largest_admitted_prime():
+    p = 1999
+    assert is_prime(p) and not any(is_prime(q) for q in range(p + 1, MAX_ORBIT_PRIME + 1))
+    for kind in StabiliserKind:
+        report = orbit_report(kind, p)
+        assert report.match, kind
+        assert report.brute_force_count == closed_form_orbits(kind, p), kind
