@@ -35,7 +35,9 @@ from .assemble import (
 )
 from .classes import OutOfRange, centraliser_of, order_p_classes
 from .graphs import (
+    MAX_HALF_EDGES,
     GraphStructureError,
+    GraphTooLarge,
     InvalidGraph,
     NormalizationError,
     NotAForest,
@@ -73,15 +75,8 @@ EXIT_DOMAIN_ERROR = 3
 EXIT_ALL_UNKNOWN = 4
 EXIT_INTERNAL_ERROR = 5
 
-# The largest demo graph, in half-edges 2p(k+1) of its canonical form.
-# Normalising a scrambled demo costs O(H) per move and makes up to about H/8
-# moves (p = 2), so it grows as H^2: at 4,000 half-edges the slowest of 60
-# seeds (p = 2, 3) took 1.25 s on a 2-vCPU Xeon with Python 3.11.
-MAX_DEMO_HALF_EDGES = 4000
-
-
-class DemoGraphTooLarge(ValueError):
-    """A demo graph name asks for more than ``MAX_DEMO_HALF_EDGES`` half-edges."""
+class DemoGraphTooLarge(GraphTooLarge):
+    """A demo graph name asks for more than ``MAX_HALF_EDGES`` half-edges."""
 
 
 _DOMAIN_ERRORS = (
@@ -100,7 +95,7 @@ _DOMAIN_ERRORS = (
     NonIntegralOrbitCount,
     OrbitPrimeTooLarge,
     PrimeTooLarge,
-    DemoGraphTooLarge,
+    GraphTooLarge,
     ValueError,
 )
 
@@ -313,7 +308,8 @@ def cmd_table(args) -> int:
 
 def demo_graph(name: str):
     """Built-in graphs: canonical_p<P>_k<K> and scrambled_p<P>_k<K>_seed<S>,
-    of at most ``MAX_DEMO_HALF_EDGES`` half-edges before scrambling."""
+    of at most ``graphs.MAX_HALF_EDGES`` half-edges before scrambling; the
+    count 2p(k+1) is checked from the name before any graph is built."""
     import re
 
     canonical = re.fullmatch(r"canonical_p(\d+)_k(\d+)", name)
@@ -326,10 +322,10 @@ def demo_graph(name: str):
     p, k = int(match.group(1)), int(match.group(2))
     check_prime(p)
     half_edges = 2 * p * (k + 1)
-    if half_edges > MAX_DEMO_HALF_EDGES:
+    if half_edges > MAX_HALF_EDGES:
         raise DemoGraphTooLarge(
             f"demo graph {name} has 2p(k+1) = {half_edges} half-edges, "
-            f"above the bound {MAX_DEMO_HALF_EDGES}"
+            f"above the bound {MAX_HALF_EDGES}"
         )
     g = canonical_graph(p, k)
     if canonical:

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from tatek import cli
-from tatek.graphs import canonical_graph, dumps as graph_dumps, to_json_obj
+from tatek.graphs import (
+    MAX_HALF_EDGES,
+    EquivariantGraph,
+    canonical_graph,
+    dumps as graph_dumps,
+    to_json_obj,
+)
 from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
 
@@ -418,7 +424,7 @@ def test_selftest_refuses_max_p_above_the_orbit_bound(monkeypatch, capsys):
         ("canonical_p5_k100000000", 1000000010),
         ("scrambled_p1000003_k2_seed1", 6000018),
         ("scrambled_p5_k100000000_seed7", 1000000010),
-        ("canonical_p2_k1000", 4004),
+        ("canonical_p2_k25000", 100004),
     ],
 )
 def test_normalize_demo_above_the_size_bound_is_refused(name, half_edges, capsys):
@@ -426,16 +432,41 @@ def test_normalize_demo_above_the_size_bound_is_refused(name, half_edges, capsys
     assert (code, out) == (3, "")
     assert err == (
         f"error: DemoGraphTooLarge: demo graph {name} has 2p(k+1) = {half_edges} "
-        f"half-edges, above the bound {cli.MAX_DEMO_HALF_EDGES}\n"
+        f"half-edges, above the bound {MAX_HALF_EDGES}\n"
     )
 
 
 def test_normalize_demo_at_the_size_bound_runs(capsys):
-    assert cli.MAX_DEMO_HALF_EDGES == 4000
+    assert MAX_HALF_EDGES == 100_000
     code, out, err = _main_in_process(
-        capsys, "normalize", "--demo", "canonical_p2_k999", "--format", "records"
+        capsys, "normalize", "--demo", "canonical_p2_k24999", "--format", "records"
     )
-    assert (code, out, err) == (0, "record=normal_form p=2 k=999 rank=1999 moves=0\n", "")
+    assert (code, out, err) == (0, "record=normal_form p=2 k=24999 rank=49999 moves=0\n", "")
+
+
+def test_normalize_input_above_the_size_bound_is_refused(tmp_path, monkeypatch, capsys):
+    # Refused from the length of the parsed half_edges list: the records are
+    # not even looked at, and no graph is built.
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(EquivariantGraph, "__init__", no_graph)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 2, "half_edges": [{}] * (MAX_HALF_EDGES + 1)}))
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: GraphTooLarge: graph has {MAX_HALF_EDGES + 1} half-edges, "
+        f"above the bound {MAX_HALF_EDGES}\n"
+    )
+
+
+def test_normalize_input_at_the_size_bound_runs(tmp_path, capsys):
+    k = MAX_HALF_EDGES // 4 - 1
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(to_json_obj(canonical_graph(2, k))), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path), "--format", "records")
+    assert (code, out, err) == (0, f"record=normal_form p=2 k={k} rank={2 * k + 1} moves=0\n", "")
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):

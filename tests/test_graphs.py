@@ -219,6 +219,15 @@ def test_expand_rejects_wrong_vertex():
         expand_orbit(g, 0, [other[0]])
 
 
+def test_expand_rejects_non_integer_half_edges():
+    # int() would truncate these to half-edges 6 and 7, both attached at 0.
+    g = canonical_graph(3, 1)
+    with pytest.raises(GraphStructureError, match="moved half-edge entry 6.9 is not an integer"):
+        expand_orbit(g, 0, [6.9, 7.2])
+    with pytest.raises(GraphStructureError, match="entry True is not an integer"):
+        expand_orbit(g, 0, [True])
+
+
 def test_slide_loop_over_cycle_and_back():
     g = canonical_graph(3, 1)
     assert orbit_step_multiset(g) == [0, 1]
@@ -324,6 +333,17 @@ def test_normalize_nonstandard_cycle_with_company_succeeds():
     assert is_canonical_form(current)
 
 
+@pytest.mark.parametrize("p, steps", [(13, [2, 5]), (13, [3, 5]), (13, [0, 2, 8]), (17, [7, 12, 12])])
+def test_normalize_ends_where_shortest_path_slides_loop(p, steps):
+    # Sliding along shortest paths from 0 to 1 returns to an earlier graph
+    # here (at p = 17 after one slide); normalize used to repeat that loop
+    # for ever.
+    g = single_orbit_graph(p, steps)
+    form, moves = normalize(g)
+    assert (form.loops_per_vertex, form.rank) == (len(steps) - 1, rank(g))
+    assert is_canonical_form(G.replay(g, moves))
+
+
 def test_normalize_slide_budget():
     # The loop-forming phase needs at most floor(p/2) slides per orbit.
     for p in (3, 5, 7):
@@ -344,6 +364,38 @@ def test_move_log_indices_are_sequential():
         replayed = apply_move(replayed, move)
     assert is_canonical_form(replayed)
     assert rank(replayed) == form.rank
+
+
+@pytest.mark.parametrize(
+    "p, k, seed", [(2, 2499, 11), (3, 1666, 2), (5, 999, 3), (2, 200, 6), (3, 150, 7), (5, 100, 6)]
+)
+def test_normalize_scrambled_canonical_round_trip(p, k, seed):
+    """Up to about 10,000 half-edges, with collapses and hundreds of slides,
+    normalise back to (p, k), and the move log replays to a canonical form."""
+    g, _ = G.scramble_graph(canonical_graph(p, k), Random(seed))
+    form, moves = normalize(g)
+    assert (form.p, form.loops_per_vertex, form.rank) == (p, k, p * k + 1)
+    assert {m.op for m in moves} == {"collapse", "slide"}
+    assert is_canonical_form(G.replay(g, moves))
+
+
+def test_normalize_builds_one_graph_whatever_the_move_count(monkeypatch):
+    built = []
+    init = EquivariantGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    for name, seed in (("few", 1), ("many", 20)):
+        g, _ = G.scramble_graph(canonical_graph(2, 199), Random(seed))
+        monkeypatch.setattr(EquivariantGraph, "__init__", counting_init)
+        built.clear()
+        _, moves = normalize(g)
+        monkeypatch.undo()
+        assert len(built) == 1, (name, len(moves))
+    # Seed 20 scrambles with collapses and slides; seed 1 needs no move.
+    assert len(moves) > 20 and {m.op for m in moves} == {"collapse", "slide"}
 
 
 def test_apply_move_validates_op():

@@ -1,0 +1,429 @@
+"""``normalize`` and the public moves against the frozen-graph code they replaced.
+
+The reference functions below are the earlier implementations, frozen: every
+collapse or slide builds a new ``EquivariantGraph`` and re-derives its cycle
+index, so ``reference_normalize`` is quadratic in the half-edge count.  The
+package now runs every move on one mutable working copy.  Hypothesis feeds
+both sides scrambled graphs, graphs shaped like the benchmark's
+(``bench/gen_graphs.py``), graphs that fail validation and lone cycles that
+cannot be normalised; the normal form, the move log, and the type and message
+of any exception must agree.
+
+On some valid graphs the reference never ends: its shortest-path slides
+return to a graph seen before (p = 13 with edge orbits of steps 2 and 5).
+``reference_normalize`` stops there with :class:`ReferenceLoops`, holding the
+log up to the first visit of that graph; the package's log must begin with it
+and replay to the normal form.
+"""
+
+import importlib.util
+from pathlib import Path
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tatek.graphs import (
+    EdgeOrbitRef,
+    EquivariantGraph,
+    GraphStructureError,
+    InvalidGraph,
+    Move,
+    NormalForm,
+    NormalizationError,
+    NotAForest,
+    NotComposable,
+    SameOrbit,
+    _halfedge_of_family_at,
+    canonical_graph,
+    collapse_orbit,
+    edge_orbit_refs,
+    expand_orbit,
+    is_canonical_form,
+    normalize,
+    orbit_step_multiset,
+    oriented_step,
+    random_valid_graph,
+    rank,
+    replay,
+    scramble_graph,
+    slide,
+    unoriented_step,
+    validate,
+)
+
+GEN_GRAPHS = Path(__file__).resolve().parents[1] / "bench" / "gen_graphs.py"
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _load_gen_graphs():
+    spec = importlib.util.spec_from_file_location("bench_gen_graphs", GEN_GRAPHS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen_graphs = _load_gen_graphs()
+
+
+# ---------------------------------------------------------------------------
+# The frozen-graph implementations
+
+
+class ReferenceLoops(Exception):
+    def __init__(self, moves):
+        super().__init__(f"the reference loops after {len(moves)} moves")
+        self.moves = tuple(moves)
+
+
+def reference_collapse_orbit(g, e):
+    h0 = e.half_edge
+    u = g.attach[h0]
+    w = g.attach[g.involution[h0]]
+    if u == w:
+        raise NotAForest(f"edge orbit of half-edge {h0} consists of loops")
+    if g.vertex_orbit_rep(u) == g.vertex_orbit_rep(w):
+        raise NotAForest(
+            f"edge orbit of half-edge {h0} joins vertex orbit {g.vertex_orbit_rep(u)} "
+            "to itself and is not a forest"
+        )
+    removed_half_edges = set(g.geometric_orbit(h0))
+    merge = {}
+    uk, wk = u, w
+    for _ in range(g.p):
+        merge[wk] = uk
+        uk = g.vertex_action[uk]
+        wk = g.vertex_action[wk]
+    kept_vertices = [v for v in range(g.n_vertices) if v not in merge]
+    new_vertex = {v: i for i, v in enumerate(kept_vertices)}
+    kept_half = [h for h in range(g.n_half_edges) if h not in removed_half_edges]
+    new_half = {h: i for i, h in enumerate(kept_half)}
+
+    def vert(v):
+        return new_vertex[merge.get(v, v)]
+
+    return EquivariantGraph(
+        p=g.p,
+        n_vertices=len(kept_vertices),
+        involution=tuple(new_half[g.involution[h]] for h in kept_half),
+        attach=tuple(vert(g.attach[h]) for h in kept_half),
+        vertex_action=tuple(new_vertex[g.vertex_action[v]] for v in kept_vertices),
+        half_edge_action=tuple(new_half[g.half_edge_action[h]] for h in kept_half),
+    )
+
+
+def reference_slide(g, s, t):
+    if len(g.vertex_orbits()) != 1:
+        raise GraphStructureError("slide requires a single vertex orbit")
+    hs, ht = s.half_edge, t.half_edge
+    if g.orbit_rep(hs) == g.orbit_rep(ht):
+        raise SameOrbit(f"half-edges {hs} and {ht} lie in the same geometric edge orbit")
+    if g.attach[g.involution[hs]] != g.attach[ht]:
+        raise NotComposable(
+            f"tau(s) = {g.attach[g.involution[hs]]} differs from iota(t) = {g.attach[ht]}"
+        )
+    new_attach = list(g.attach)
+    src, dst = g.involution[hs], g.involution[ht]
+    for _ in range(g.p):
+        new_attach[src] = g.attach[dst]
+        src = g.half_edge_action[src]
+        dst = g.half_edge_action[dst]
+    return EquivariantGraph(
+        p=g.p,
+        n_vertices=g.n_vertices,
+        involution=g.involution,
+        attach=tuple(new_attach),
+        vertex_action=g.vertex_action,
+        half_edge_action=g.half_edge_action,
+    )
+
+
+def reference_apply_move(g, move):
+    if move.op == "collapse":
+        return reference_collapse_orbit(g, EdgeOrbitRef(move.source))
+    return reference_slide(g, EdgeOrbitRef(move.source), EdgeOrbitRef(move.target))
+
+
+def reference_bfs_path(g, start, goal):
+    at = {v: [] for v in range(g.n_vertices)}
+    for h in range(g.n_half_edges):
+        at[g.attach[h]].append(h)
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        nxt = []
+        for x in queue:
+            for h in at[x]:
+                y = g.attach[g.involution[h]]
+                if y not in parent:
+                    parent[y] = (x, h)
+                    nxt.append(y)
+        if goal in parent:
+            break
+        queue = nxt
+    if goal not in parent:
+        raise GraphStructureError("graph is not connected")
+    path = []
+    node = goal
+    while parent[node] is not None:
+        prev, h = parent[node]
+        path.append(h)
+        node = prev
+    path.reverse()
+    return path
+
+
+def reference_slide_to_step(g, moving, over_family, target_step, moves):
+    p = g.p
+    j = oriented_step(g, over_family)
+    if j == 0:
+        raise GraphStructureError("cannot slide along a loop orbit")
+    i = oriented_step(g, moving)
+    if i == target_step:
+        return g
+    j_inv = pow(j, p - 2, p)
+    forward = ((target_step - i) * j_inv) % p
+    backward = ((i - target_step) * j_inv) % p
+    if forward <= backward:
+        count, family = forward, over_family
+    else:
+        count, family = backward, g.involution[over_family]
+    for _ in range(count):
+        tau = g.attach[g.involution[moving]]
+        t_half = _halfedge_of_family_at(g, family, tau)
+        g = reference_slide(g, EdgeOrbitRef(moving), EdgeOrbitRef(t_half))
+        moves.append(Move("slide", moving, t_half))
+    return g
+
+
+def reference_normalize(g):
+    report = validate(g)
+    if not report.ok:
+        raise InvalidGraph(report)
+    input_rank = rank(g)
+    moves = []
+
+    while len(g.vertex_orbits()) > 1:
+        for ref in edge_orbit_refs(g):
+            u = g.attach[ref.half_edge]
+            w = g.attach[g.involution[ref.half_edge]]
+            if g.vertex_orbit_rep(u) != g.vertex_orbit_rep(w):
+                moves.append(Move("collapse", ref.half_edge))
+                g = reference_collapse_orbit(g, ref)
+                break
+        else:
+            raise AssertionError("connected graph with no inter-orbit edge orbit")
+
+    base = 0
+    cycle_half = None
+    seen = {}
+    while True:
+        # Not in the frozen code: each round depends on g alone, so a repeat
+        # means it would never end.
+        if g in seen:
+            raise ReferenceLoops(moves[: seen[g]])
+        seen[g] = len(moves)
+        path = reference_bfs_path(g, base, g.vertex_action[base])
+        if len(path) == 1:
+            cycle_half = path[0]
+            break
+        slid = False
+        for i in range(len(path) - 1):
+            if g.orbit_rep(path[i]) != g.orbit_rep(path[i + 1]):
+                moves.append(Move("slide", path[i], path[i + 1]))
+                g = reference_slide(g, EdgeOrbitRef(path[i]), EdgeOrbitRef(path[i + 1]))
+                slid = True
+                break
+        if slid:
+            continue
+        cycle_orbit = g.orbit_rep(path[0])
+        others = [r for r in edge_orbit_refs(g) if r.half_edge != cycle_orbit]
+        if not others:
+            raise NormalizationError(
+                f"the only edge orbit is a cycle of step {unoriented_step(g, path[0])}; "
+                "no equivariant move can change it into the standard p-cycle"
+            )
+        g = reference_slide_to_step(g, others[0].half_edge, path[0], 1, moves)
+
+    for ref in edge_orbit_refs(g):
+        if g.orbit_rep(ref.half_edge) == g.orbit_rep(cycle_half):
+            continue
+        g = reference_slide_to_step(g, ref.half_edge, cycle_half, 0, moves)
+
+    steps = orbit_step_multiset(g)
+    loops = steps.count(0)
+    if not is_canonical_form(g):
+        raise AssertionError(f"normalization ended off normal form: steps {steps}")
+    if rank(g) != input_rank:
+        raise AssertionError("normalization changed the rank")
+    return NormalForm(p=g.p, loops_per_vertex=loops, rank=input_rank), tuple(moves)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+
+
+REFERENCE_LOOPS = "the reference loops"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ReferenceLoops:
+        raise
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def assert_normalize_agrees(g):
+    try:
+        expected = _outcome(reference_normalize, g)
+    except ReferenceLoops as loop:
+        form, moves = normalize(g)
+        assert moves[: len(loop.moves)] == loop.moves
+        assert form.rank == rank(g) == form.p * form.loops_per_vertex + 1
+        assert is_canonical_form(replay(g, moves))
+        return REFERENCE_LOOPS
+    assert _outcome(normalize, g) == expected
+    return expected
+
+
+def lone_cycle_graph(p, steps):
+    """Vertices 0..p-1 rotated by +1; one edge orbit k -> k+j per step j."""
+    involution, attach, action = [], [], []
+    for index, j in enumerate(steps):
+        base = 2 * p * index
+        for i in range(p):
+            involution += [base + 2 * i + 1, base + 2 * i]
+            attach += [i, (i + j) % p]
+            ni = (i + 1) % p
+            action += [base + 2 * ni, base + 2 * ni + 1]
+    return EquivariantGraph(
+        p=p,
+        n_vertices=p,
+        involution=tuple(involution),
+        attach=tuple(attach),
+        vertex_action=tuple((i + 1) % p for i in range(p)),
+        half_edge_action=tuple(action),
+    )
+
+
+def expand_randomly(g, rng, times):
+    for _ in range(times):
+        vertex = rng.randrange(g.n_vertices)
+        moved = [h for h in g.half_edges_at(vertex) if rng.random() < 0.5]
+        g, _ = expand_orbit(g, vertex, moved)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32),
+    loops=st.integers(0, 6),
+    slides=st.integers(0, 12),
+    expansions=st.integers(0, 6),
+)
+def test_normalize_matches_reference_on_scrambled_graphs(p, seed, loops, slides, expansions):
+    rng = Random(seed)
+    g, _ = scramble_graph(canonical_graph(p, loops), rng, max_slides=slides, max_expansions=expansions)
+    form, moves = assert_normalize_agrees(g)
+    assert (form.p, form.loops_per_vertex) == (p, loops)
+    assert is_canonical_form(replay(g, moves))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32),
+    extra=st.integers(0, 8),
+    slides=st.integers(1, 4),
+    expansions=st.integers(1, 5),
+)
+def test_normalize_matches_reference_on_bench_shaped_graphs(p, seed, extra, slides, expansions):
+    g = gen_graphs.scrambled(p, slides + extra, slides, expansions, Random(seed))
+    form, moves = assert_normalize_agrees(g)
+    ops = [m.op for m in moves]
+    assert (form.loops_per_vertex, ops.count("collapse")) == (slides + extra, expansions)
+
+
+@pytest.mark.parametrize("config", gen_graphs.GRAPH_CONFIGS, ids=str)
+def test_normalize_matches_reference_on_the_bench_graphs(config):
+    assert_normalize_agrees(gen_graphs.scrambled(*config, Random(1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    steps=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32),
+    expansions=st.integers(0, 3),
+)
+def test_normalize_matches_reference_on_cycles_and_disconnected_graphs(p, steps, seed, expansions):
+    """Edge orbits of given steps on one vertex orbit: a lone cycle of step
+    other than +-1 ends in NormalizationError, all-loop graphs are
+    disconnected and fail validation, and the rest normalise, some of them
+    only where the reference loops."""
+    g = lone_cycle_graph(p, [j % p for j in steps])
+    g = expand_randomly(g, Random(seed), expansions)
+    assert_normalize_agrees(g)
+
+
+def test_lone_cycle_and_invalid_outcomes_are_drawn():
+    lone = assert_normalize_agrees(lone_cycle_graph(5, [2]))
+    assert lone[0] is NormalizationError and "step 2" in lone[1]
+    expanded = assert_normalize_agrees(expand_randomly(lone_cycle_graph(7, [3]), Random(2), 2))
+    assert expanded[0] is NormalizationError
+    assert assert_normalize_agrees(lone_cycle_graph(3, [0]))[0] is InvalidGraph
+    assert assert_normalize_agrees(lone_cycle_graph(13, [2, 5])) == REFERENCE_LOOPS
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32),
+    swaps=st.integers(1, 3),
+)
+def test_normalize_matches_reference_on_invalid_graphs(p, seed, swaps):
+    rng = Random(seed)
+    g = random_valid_graph(p, 3 * p + 1, rng)
+    attach = list(g.attach)
+    for _ in range(swaps):
+        i, j = rng.randrange(len(attach)), rng.randrange(len(attach))
+        attach[i], attach[j] = attach[j], attach[i]
+    g = EquivariantGraph(
+        p=g.p,
+        n_vertices=g.n_vertices,
+        involution=g.involution,
+        attach=tuple(attach),
+        vertex_action=g.vertex_action,
+        half_edge_action=g.half_edge_action,
+    )
+    outcome = assert_normalize_agrees(g)
+    assert validate(g).ok or outcome[0] is InvalidGraph
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_public_moves_match_reference(p, seed, data):
+    """collapse_orbit and slide on every kind of edge orbit of a valid graph,
+    errors included, and replay against the move-by-move reference."""
+    g = random_valid_graph(p, 4 * p + 1, Random(seed), max_slides=4, max_expansions=2)
+    h = data.draw(st.integers(0, g.n_half_edges - 1), label="collapse")
+    assert _outcome(collapse_orbit, g, EdgeOrbitRef(h)) == _outcome(
+        reference_collapse_orbit, g, EdgeOrbitRef(h)
+    )
+    hs = data.draw(st.integers(0, g.n_half_edges - 1), label="s")
+    ht = data.draw(st.integers(0, g.n_half_edges - 1), label="t")
+    args = (g, EdgeOrbitRef(hs), EdgeOrbitRef(ht))
+    assert _outcome(slide, *args) == _outcome(reference_slide, *args)
+
+    _, moves = normalize(g)
+    expected = g
+    for move in moves:
+        expected = reference_apply_move(expected, move)
+    assert replay(g, moves) == expected
