@@ -342,6 +342,12 @@ def test_normalize_ends_where_shortest_path_slides_loop(p, steps):
     form, moves = normalize(g)
     assert (form.loops_per_vertex, form.rank) == (len(steps) - 1, rank(g))
     assert is_canonical_form(G.replay(g, moves))
+    if (p, steps) == (13, [2, 5]):
+        # The loop starts at the input, so the log holds only the fallback:
+        # step 5 - 2 - 2 = 1 for the second orbit, then the first becomes loops.
+        assert moves == (
+            Move("slide", 26, 7), Move("slide", 26, 3), Move("slide", 0, 29), Move("slide", 0, 27)
+        )
 
 
 def test_normalize_slide_budget():
@@ -387,15 +393,17 @@ def test_normalize_builds_one_graph_whatever_the_move_count(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    for name, seed in (("few", 1), ("many", 20)):
+    counts = []
+    for seed in (1, 20):
         g, _ = G.scramble_graph(canonical_graph(2, 199), Random(seed))
         monkeypatch.setattr(EquivariantGraph, "__init__", counting_init)
         built.clear()
         _, moves = normalize(g)
         monkeypatch.undo()
-        assert len(built) == 1, (name, len(moves))
-    # Seed 20 scrambles with collapses and slides; seed 1 needs no move.
-    assert len(moves) > 20 and {m.op for m in moves} == {"collapse", "slide"}
+        assert len(built) == 1
+        counts.append(len(moves))
+    # Seed 1 needs 3 collapses, seed 20 two collapses and 75 slides.
+    assert counts == [3, 77]
 
 
 def test_apply_move_validates_op():
