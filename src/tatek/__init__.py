@@ -61,6 +61,7 @@ from .orbits import (
     burnside_orbit_count,
     enumerate_orbits,
     fixed_points,
+    iter_orbits,
     orbit_report,
     quotient_summary,
 )

@@ -16,7 +16,7 @@ import json
 from importlib import resources
 
 from ._value import Value
-from .classes import ClassList, ConjClassDescriptor, OutOfRange, centraliser_of, order_p_classes
+from .classes import ConjClassDescriptor, OutOfRange, centraliser_of, order_p_classes
 from .modp import check_prime
 from .series import (
     FreeAbelian,
@@ -54,6 +54,17 @@ class Contribution(Value):
     descriptor: ConjClassDescriptor | None = None
 
 
+def _first_unknown(dims) -> Unknown | None:
+    """The blocker of a result: its first Unknown dimension in reading order
+    (class order, even before odd, then the ``OutF<n>`` entry), or None."""
+    return next((d for d in dims if isinstance(d, Unknown)), None)
+
+
+def _known(result) -> bool:
+    """Whether a result's dimensions are known; a blocker blocks both."""
+    return not isinstance(result.dim_even, Unknown)
+
+
 class TateKResult(Value):
     p: int
     group_id: str
@@ -64,11 +75,7 @@ class TateKResult(Value):
     contributions: tuple[Contribution, ...]
     citations: tuple[str, ...]
 
-    @property
-    def known(self) -> bool:
-        return not isinstance(self.dim_even, Unknown) and not isinstance(
-            self.dim_odd, Unknown
-        )
+    known = property(_known)
 
 
 def _finish(
@@ -77,56 +84,35 @@ def _finish(
     contributions: tuple[Contribution, ...],
     citations: tuple[str, ...],
 ) -> TateKResult:
-    blockers = [
-        c.even.blocker for c in contributions if isinstance(c.even, Unknown)
-    ] + [c.odd.blocker for c in contributions if isinstance(c.odd, Unknown)]
-    if blockers:
-        blocked = Unknown(blockers[0])
-        return TateKResult(
-            p=p,
-            group_id=group_id,
-            dim_even=blocked,
-            dim_odd=blocked,
-            weak_duality=blocked,
-            euler_char=blocked,
-            contributions=contributions,
-            citations=citations,
-        )
-    even = sum(c.even for c in contributions)
-    odd = sum(c.odd for c in contributions)
+    blocked = _first_unknown(d for c in contributions for d in (c.even, c.odd))
+    if blocked is None:
+        even = sum(c.even for c in contributions)
+        odd = sum(c.odd for c in contributions)
+        duality, euler = odd == 0, even - odd
+    else:
+        even = odd = duality = euler = blocked
     return TateKResult(
         p=p,
         group_id=group_id,
         dim_even=even,
         dim_odd=odd,
-        weak_duality=(odd == 0),
-        euler_char=even - odd,
+        weak_duality=duality,
+        euler_char=euler,
         contributions=contributions,
         citations=citations,
     )
 
 
-def tate_k(
-    p: int,
-    n: int,
-    registry: Registry | None = None,
-    class_filter=None,
-) -> TateKResult:
+def tate_k(p: int, n: int, registry: Registry | None = None) -> TateKResult:
     """Farrell-Tate K-theory dimensions of Out(F_n) at the prime p.
 
-    ``class_filter`` optionally restricts the class list (used by tests to
-    itemise contributions); the public result always uses the full list.
     Raises :class:`OutOfRange` when (p, n) has no supported classification;
     an Unknown result is a value, not an error.
     """
     reg = registry or default_registry()
-    class_list: ClassList = order_p_classes(p, n)
-    descriptors = class_list.classes
-    if class_filter is not None:
-        descriptors = tuple(c for c in descriptors if class_filter(c))
     contributions: list[Contribution] = []
     citations: list[str] = []
-    for c in descriptors:
+    for c in order_p_classes(p, n).classes:
         expr = centraliser_of(c)
         if c.citation and c.citation not in citations:
             citations.append(c.citation)
@@ -168,9 +154,7 @@ class RationalKResult(Value):
     outfn_odd: Dim
     citations: tuple[str, ...]
 
-    @property
-    def known(self) -> bool:
-        return not isinstance(self.dim_even, Unknown)
+    known = property(_known)
 
 
 def rational_k(p: int, n: int, registry: Registry | None = None) -> RationalKResult:
@@ -180,35 +164,21 @@ def rational_k(p: int, n: int, registry: Registry | None = None) -> RationalKRes
     citations = list(tate.citations)
     if entry.citation and entry.citation not in citations:
         citations.append(entry.citation)
-    if not entry.known:
-        blocked = Unknown(entry.name)
-        out_even: Dim = blocked
-        out_odd: Dim = blocked
-    else:
+    if entry.known:
         assert entry.series is not None
         out_even, out_odd = even_odd_totals(entry.series)
-    if isinstance(tate.dim_even, Unknown):
-        blocked = tate.dim_even
-    elif isinstance(out_even, Unknown):
-        blocked = out_even
     else:
-        blocked = None
-    if blocked is not None:
-        return RationalKResult(
-            p=p,
-            n=n,
-            dim_even=blocked,
-            dim_odd=blocked,
-            tate=tate,
-            outfn_even=out_even,
-            outfn_odd=out_odd,
-            citations=tuple(citations),
-        )
+        out_even = out_odd = Unknown(entry.name)
+    blocked = _first_unknown((tate.dim_even, out_even))
+    if blocked is None:
+        even, odd = tate.dim_even + out_even, tate.dim_odd + out_odd
+    else:
+        even = odd = blocked
     return RationalKResult(
         p=p,
         n=n,
-        dim_even=tate.dim_even + out_even,
-        dim_odd=tate.dim_odd + out_odd,
+        dim_even=even,
+        dim_odd=odd,
         tate=tate,
         outfn_even=out_even,
         outfn_odd=out_odd,

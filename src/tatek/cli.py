@@ -35,6 +35,7 @@ from .assemble import (
 )
 from .classes import OutOfRange, centraliser_of, order_p_classes
 from .graphs import (
+    MAX_GRAPH_FILE_CHARS,
     MAX_HALF_EDGES,
     GraphStructureError,
     GraphTooLarge,
@@ -55,12 +56,14 @@ from .modp import (
     PrimeTooLarge,
     StabiliserKind,
     check_prime,
+    stabiliser_group,
 )
 from .orbits import (
     MAX_ORBIT_PRIME,
     NonIntegralOrbitCount,
     OrbitPrimeTooLarge,
     check_orbit_prime,
+    iter_orbits,
     orbit_report,
     quotient_summary,
 )
@@ -123,7 +126,7 @@ def _emit(items: Iterable[Item], fmt: str) -> None:
         lines = (render_record(record) for record, _ in items if record is not None)
     else:
         lines = (text for _, text in items if text is not None)
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _dim_str(value) -> str:
@@ -178,7 +181,7 @@ def _tate_items(record: dict, title: str, result, cite: bool) -> list[Item]:
 def _orbit_items(args, p: int) -> Iterator[Item]:
     kinds = [_KIND_BY_NAME[args.kind]] if args.kind else list(_KIND_BY_NAME.values())
     for kind in kinds:
-        report = orbit_report(kind, p, list_orbits=args.list)
+        report = orbit_report(kind, p)
         order, orbits = len(report.per_element_counts), report.orbit_count
         brute, closed = report.brute_force_count, report.closed_form
         record = dict(
@@ -197,7 +200,7 @@ def _orbit_items(args, p: int) -> Iterator[Item]:
                     record="fixed_points", kind=kind.value, p=p, element=element, count=count
                 )
                 yield record, f"  fixed points of {element}: {count}"
-            for orbit in report.orbits or ():
+            for orbit in iter_orbits(stabiliser_group(kind, p)):
                 rep = f"({orbit[0][0]},{orbit[0][1]})"
                 record = dict(record="orbit", kind=kind.value, p=p, rep=rep, size=len(orbit))
                 shown = " ".join(f"({l},{m})" for l, m in orbit)
@@ -216,7 +219,8 @@ def _orbit_items(args, p: int) -> Iterator[Item]:
 
 
 def cmd_orbits(args) -> int:
-    # With --list the items name all p^2 vectors, so they are generated, not held.
+    # With --list the items name all p^2 vectors, so they are generated and
+    # written one line at a time, not held.
     _emit(_orbit_items(args, check_orbit_prime(args.p)), args.format)
     return EXIT_OK
 
@@ -344,9 +348,14 @@ def cmd_normalize(args) -> int:
     else:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(MAX_GRAPH_FILE_CHARS + 1)
         except OSError as exc:
             return _domain_error(exc)
+        if len(text) > MAX_GRAPH_FILE_CHARS:
+            raise GraphTooLarge(
+                f"graph file {args.input} is longer than the bound of "
+                f"{MAX_GRAPH_FILE_CHARS} characters"
+            )
         g = graph_loads(text)
     form, moves = normalize(g)
     k, rank = form.loops_per_vertex, form.rank

@@ -65,9 +65,17 @@ class NormalizationError(RuntimeError):
 # took 0.75 s (median 0.52 s) on a 2-vCPU Xeon with Python 3.11.
 MAX_HALF_EDGES = 100_000
 
+# The longest graph file, in characters, that ``normalize --input`` reads; a
+# longer one is refused before it is parsed.  ``dumps`` writes 85 to 94
+# characters per half-edge (8.47 MB for ``canonical_p2_k24999`` at the bound
+# above, 9.38 MB for ``canonical_p49999_k0``), so no file that tatek writes
+# comes near it.
+MAX_GRAPH_FILE_CHARS = 32 * 2**20
+
 
 class GraphTooLarge(ValueError):
-    """A graph has more than ``MAX_HALF_EDGES`` half-edges."""
+    """A graph has more than ``MAX_HALF_EDGES`` half-edges, or its file more
+    than ``MAX_GRAPH_FILE_CHARS`` characters."""
 
 
 def _check_ints(values: tuple, name: str) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._value import Value
 
@@ -75,11 +75,6 @@ class Mat2P(Value):
     @classmethod
     def identity(cls, p: int) -> "Mat2P":
         return cls(1, 0, 0, 1, p)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], p: int) -> "Mat2P":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d, p)
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))

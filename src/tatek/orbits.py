@@ -26,10 +26,10 @@ from .modp import (
 )
 
 
-# The explicit partition allocates a p^2-byte mask (4 MB at the bound), and
-# ``orbit_report(list_orbits=True)`` decodes all p^2 - 1 vectors into (l, m)
-# tuples, which is what the bound keeps small; counting at p = 1999 takes a
-# few tens of milliseconds per kind.
+# The explicit partition allocates a p^2-byte mask, 4 MB at the bound, and
+# ``iter_orbits`` holds one decoded orbit beside it; the bound keeps the mask
+# and the O(p^2) listing small.  Counting at p = 1999 takes a few tens of
+# milliseconds per kind.
 MAX_ORBIT_PRIME = 2000
 
 
@@ -168,36 +168,39 @@ def _minimum_mask(g: MatrixGroup) -> bytearray:
     return mask
 
 
-def _orbit_starts(mask: bytearray) -> list[int]:
+def _zeros(mask: bytearray) -> Iterator[int]:
     """The smallest flat index of each orbit, ascending: the zeros of the mask."""
-    starts = []
     v = mask.find(0)
     while v >= 0:
-        starts.append(v)
+        yield v
         v = mask.find(0, v + 1)
-    return starts
 
 
-def _decode_orbits(g: MatrixGroup, starts: list[int]) -> list[list[tuple[int, int]]]:
-    """The sorted (l, m) members of the orbit through each flat start index."""
+def _orbit_starts(mask: bytearray) -> list[int]:
+    """The zeros as a list, as the tests compare them with a reference walker."""
+    return list(_zeros(mask))
+
+
+def iter_orbits(g: MatrixGroup) -> Iterator[list[tuple[int, int]]]:
+    """Explicit orbit partition of the nonzero vectors; the independent oracle.
+
+    Orbits come by their lexicographically smallest element, each orbit
+    sorted, so the output is deterministic.  Each is decoded from its start,
+    a zero of the minimum mask, when it is asked for: O(p^2) in all, holding
+    the mask and one orbit.
+    """
+    mask = _minimum_mask(g)
     p = g.p
     entries = [m.key() for m in g.elements]
-    orbits = []
-    for v in starts:
+    for v in _zeros(mask):
         l, m = divmod(v, p)
         flat = {(a * l + b * m) % p * p + (c * l + d * m) % p for a, b, c, d in entries}
-        orbits.append([divmod(w, p) for w in sorted(flat)])
-    return orbits
+        yield [divmod(w, p) for w in sorted(flat)]
 
 
 def enumerate_orbits(g: MatrixGroup) -> list[list[tuple[int, int]]]:
-    """Explicit orbit partition of the nonzero vectors; the independent oracle.
-
-    Orbits are listed by their lexicographically smallest element, each orbit
-    sorted, so the output is deterministic.  The starts are the zeros of the
-    minimum mask; decoding them costs O(p^2) for the p^2 - 1 listed tuples.
-    """
-    return _decode_orbits(g, _orbit_starts(_minimum_mask(g)))
+    """The whole partition of :func:`iter_orbits` as one list."""
+    return list(iter_orbits(g))
 
 
 def closed_form_orbits(kind: StabiliserKind, p: int) -> int:
@@ -230,23 +233,19 @@ class OrbitReport(Value):
     brute_force_count: int
     closed_form: int
     match: bool
-    orbits: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
 
-def orbit_report(
-    kind: StabiliserKind, p: int, list_orbits: bool = False
-) -> OrbitReport:
+def orbit_report(kind: StabiliserKind, p: int) -> OrbitReport:
     """Burnside, the brute-force partition and the closed form for one kind.
 
     The partition is counted as the zeros of the minimum mask, without
-    building its (l, m) tuples unless ``list_orbits`` asks for them.
+    decoding its (l, m) tuples; :func:`iter_orbits` lists them.
     """
     check_orbit_prime(p)
     group = stabiliser_group(kind, p)
     per_element = tuple((m, fixed_points(m).count) for m in group.elements)
     burnside = burnside_orbit_count(group)
-    mask = _minimum_mask(group)
-    brute = mask.count(0)
+    brute = _minimum_mask(group).count(0)
     closed = closed_form_orbits(kind, p)
     return OrbitReport(
         kind=kind,
@@ -256,11 +255,6 @@ def orbit_report(
         brute_force_count=brute,
         closed_form=closed,
         match=(burnside == brute == closed),
-        orbits=(
-            tuple(tuple(o) for o in _decode_orbits(group, _orbit_starts(mask)))
-            if list_orbits
-            else None
-        ),
     )
 
 

@@ -55,8 +55,8 @@ def test_tate_result_invariants():
 
 def test_contributions_itemized_phi_removal():
     for p in (5, 7, 11, 13):
-        filtered = tate_k(p, p + 1, class_filter=lambda c: c.kind != "phi")
-        assert dims(filtered) == (3, 0)
+        rest = [c for c in tate_k(p, p + 1).contributions if c.descriptor.kind != "phi"]
+        assert (sum(c.even for c in rest), sum(c.odd for c in rest)) == (3, 0)
 
 
 def test_rational_examples():

@@ -1,19 +1,24 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from tatek import cli
 from tatek.graphs import (
+    MAX_GRAPH_FILE_CHARS,
     MAX_HALF_EDGES,
     EquivariantGraph,
     canonical_graph,
     dumps as graph_dumps,
     to_json_obj,
 )
+from tatek.modp import StabiliserKind
+from tatek.orbits import orbit_report
 from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
 
@@ -467,6 +472,65 @@ def test_normalize_input_at_the_size_bound_runs(tmp_path, capsys):
     path.write_text(json.dumps(to_json_obj(canonical_graph(2, k))), encoding="utf-8")
     code, out, err = _main_in_process(capsys, "normalize", "--input", str(path), "--format", "records")
     assert (code, out, err) == (0, f"record=normal_form p=2 k={k} rank={2 * k + 1} moves=0\n", "")
+
+
+@pytest.mark.parametrize(
+    "length, parsed", [(MAX_GRAPH_FILE_CHARS, True), (MAX_GRAPH_FILE_CHARS + 1, False)]
+)
+def test_normalize_input_file_above_the_length_bound_is_never_parsed(
+    length, parsed, tmp_path, monkeypatch, capsys
+):
+    # A file of NUL characters: one at the bound reaches the parser, one a
+    # character longer is refused from its length before it is parsed.
+    seen = []
+
+    def loads(text):
+        seen.append(len(text))
+        raise ValueError("not parsed here")
+
+    monkeypatch.setattr(cli, "graph_loads", loads)
+    path = tmp_path / "long.json"
+    with open(path, "wb") as fh:
+        fh.truncate(length)
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    if parsed:
+        assert (seen, err) == ([length], "error: ValueError: not parsed here\n")
+    else:
+        assert seen == []
+        assert err == (
+            f"error: GraphTooLarge: graph file {path} is longer than the bound of "
+            f"{MAX_GRAPH_FILE_CHARS} characters\n"
+        )
+
+
+class _LineCounter(io.TextIOBase):
+    """A stdout that keeps nothing but the number of lines written to it."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_orbits_list_is_written_one_line_at_a_time(monkeypatch):
+    # The listing names all p^2 - 1 vectors three times over; only the
+    # p^2-byte mask and the current orbit are held while it is written.
+    p = 97
+    sink = _LineCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["orbits", "--p", str(p), "--list", "--format", "records"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    reports = [orbit_report(kind, p) for kind in StabiliserKind]
+    expected = sum(1 + len(r.per_element_counts) + r.brute_force_count for r in reports) + 1
+    assert sink.lines == expected
+    assert peak < 1_000_000
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):

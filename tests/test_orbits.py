@@ -151,9 +151,6 @@ def test_enumerate_matches_tuple_set_reference():
             assert enumerate_orbits(group) == reference_orbits(group), (p, group.order)
         for kind in StabiliserKind:
             partition = enumerate_orbits(stabiliser_group(kind, p))
-            report = orbit_report(kind, p, list_orbits=True)
-            assert report.brute_force_count == len(partition)
-            assert report.orbits == tuple(tuple(o) for o in partition)
             assert orbit_report(kind, p).brute_force_count == len(partition)
 
 

@@ -72,7 +72,7 @@ def _collect_samples() -> dict:
         graphs.validate(scrambled),
         graphs.edge_orbit_refs(scrambled),
         edge_group,
-        orbits.orbit_report(modp.StabiliserKind.ROSE_VERTEX, 5, list_orbits=True),
+        orbits.orbit_report(modp.StabiliserKind.ROSE_VERTEX, 5),
         [orbits.fixed_points(m, list_solutions=True) for m in edge_group.elements],
         orbits.fixed_points(edge_group.elements[0]),
         orbits.quotient_summary(7),
