@@ -21,12 +21,12 @@ from .modp import check_prime
 from .series import (
     FreeAbelian,
     FreeGroup,
-    Registry,
     RegistryDataError,
     UnknownCohomology,
     citations_of,
-    default_registry,
     even_odd_totals,
+    merge_citations,
+    registry_lookup,
     series_of,
 )
 
@@ -103,21 +103,18 @@ def _finish(
     )
 
 
-def tate_k(p: int, n: int, registry: Registry | None = None) -> TateKResult:
+def tate_k(p: int, n: int) -> TateKResult:
     """Farrell-Tate K-theory dimensions of Out(F_n) at the prime p.
 
     Raises :class:`OutOfRange` when (p, n) has no supported classification;
     an Unknown result is a value, not an error.
     """
-    reg = registry or default_registry()
     contributions: list[Contribution] = []
     citations: list[str] = []
     for c in order_p_classes(p, n).classes:
         expr = centraliser_of(c)
-        if c.citation and c.citation not in citations:
-            citations.append(c.citation)
         try:
-            series = series_of(expr, reg)
+            series = series_of(expr)
             if series.max_degree > 2 * n:
                 raise RegistryDataError(
                     f"class {c.label}: the registry dims of {expr} reach degree "
@@ -136,9 +133,7 @@ def tate_k(p: int, n: int, registry: Registry | None = None) -> TateKResult:
                     descriptor=c,
                 )
             )
-        for cite in citations_of(expr, reg):
-            if cite not in citations:
-                citations.append(cite)
+        merge_citations(citations, c.citation, *citations_of(expr))
     return _finish(p, f"Out(F_{n})", tuple(contributions), tuple(citations))
 
 
@@ -157,13 +152,11 @@ class RationalKResult(Value):
     known = property(_known)
 
 
-def rational_k(p: int, n: int, registry: Registry | None = None) -> RationalKResult:
-    reg = registry or default_registry()
-    tate = tate_k(p, n, registry=reg)
-    entry = reg.lookup(f"OutF{n}")
+def rational_k(p: int, n: int) -> RationalKResult:
+    tate = tate_k(p, n)
+    entry = registry_lookup(f"OutF{n}")
     citations = list(tate.citations)
-    if entry.citation and entry.citation not in citations:
-        citations.append(entry.citation)
+    merge_citations(citations, entry.citation)
     if entry.known:
         assert entry.series is not None
         out_even, out_odd = even_odd_totals(entry.series)
@@ -186,9 +179,9 @@ def rational_k(p: int, n: int, registry: Registry | None = None) -> RationalKRes
     )
 
 
-def weak_duality(p: int, n: int, registry: Registry | None = None) -> bool | Unknown:
+def weak_duality(p: int, n: int) -> bool | Unknown:
     """Whether the odd Farrell-Tate K-group vanishes (weak duality)."""
-    return tate_k(p, n, registry=registry).weak_duality
+    return tate_k(p, n).weak_duality
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +355,16 @@ class TableDocument(Value):
         raise KeyError((n, p))
 
 
-def _cell(compute, p: int, n: int, reg: Registry, citations: list[str]) -> TableCell:
+def _cell(compute, p: int, n: int, citations: list[str]) -> TableCell:
     """One table cell from ``compute(p, n)``, ``tate_k`` or ``rational_k``."""
     try:
-        result = compute(p, n, registry=reg)
+        result = compute(p, n)
     except OutOfRange:
         return TableCell(
             n=n, p=p, status="unknown", even=None, odd=None, blocker=None,
             reason=OUT_OF_RANGE_REASON,
         )
-    for cite in result.citations:
-        if cite not in citations:
-            citations.append(cite)
+    merge_citations(citations, *result.citations)
     if not result.known:
         blocker = result.dim_even.blocker
         return TableCell(
@@ -387,14 +378,13 @@ def _cell(compute, p: int, n: int, reg: Registry, citations: list[str]) -> Table
     )
 
 
-def emit_table(which: int, registry: Registry | None = None) -> TableDocument:
+def emit_table(which: int) -> TableDocument:
     """Table 4 (Farrell-Tate dims of Out(F_n)) or 5 (rationalised p-adic dims).
 
     Cells are ordered by (n, p); cells the available methods cannot compute
     are emitted with status "unknown", carrying the blocking registry entry
     name where one exists.
     """
-    reg = registry or default_registry()
     citations: list[str] = []
     if which == 4:
         ranks, primes, compute = TABLE4_RANKS, TABLE4_PRIMES, tate_k
@@ -404,7 +394,7 @@ def emit_table(which: int, registry: Registry | None = None) -> TableDocument:
         title = "Rationalised p-adic K-theory of B Out(F_n): (even, odd) Q_p-dimensions"
     else:
         raise ValueError(f"no such table: {which} (supported: 4, 5)")
-    cells = tuple(_cell(compute, p, n, reg, citations) for n in ranks for p in primes)
+    cells = tuple(_cell(compute, p, n, citations) for n in ranks for p in primes)
     return TableDocument(
         which=which,
         title=title,

@@ -51,8 +51,6 @@ from .graphs import (
     scramble_graph,
 )
 from .modp import (
-    ClosureExceedsBound,
-    ModulusMismatch,
     PrimeTooLarge,
     StabiliserKind,
     check_prime,
@@ -60,7 +58,6 @@ from .modp import (
 )
 from .orbits import (
     MAX_ORBIT_PRIME,
-    NonIntegralOrbitCount,
     OrbitPrimeTooLarge,
     check_orbit_prime,
     iter_orbits,
@@ -93,9 +90,6 @@ _DOMAIN_ERRORS = (
     InvalidGraph,
     GraphStructureError,
     NormalizationError,
-    ClosureExceedsBound,
-    ModulusMismatch,
-    NonIntegralOrbitCount,
     OrbitPrimeTooLarge,
     PrimeTooLarge,
     GraphTooLarge,

@@ -6,10 +6,12 @@ sends half-edges to vertices, and the Z/p action is a pair of permutations
 (vertices, half-edges) commuting with both.  All moves are whole-orbit and
 atomic: a single call collapses or slides an entire Z/p-orbit of edges, so
 equivariance can never be transiently broken.  Graphs are immutable; the
-public moves return new graphs.  Every move runs on one private mutable
-working copy, ``_WorkingGraph``: a public move loads it, applies itself and
-freezes the result, and ``normalize`` applies its whole move sequence to a
-single working copy and freezes only the normal form.
+public moves return new graphs.  Collapse and slide run on one private
+mutable working copy, ``_WorkingGraph``: a public move loads it, applies
+itself and freezes the result, and ``normalize`` applies its whole move
+sequence to a single working copy and freezes only the normal form.
+``expand_orbit``, the inverse of a collapse that scrambles demo and test graphs,
+builds its larger graph directly.
 
 The normal form is the rose-cycle graph: p vertices in a single orbit, one
 edge orbit forming a p-cycle compatible with the rotation, and k loop orbits
@@ -930,7 +932,7 @@ def scramble_graph(
     intermediate graph is valid by construction; the trace is returned oldest
     first."""
     trace = [g]
-    if len(g.vertex_orbits()) == 1 and len(edge_orbit_refs(g)) >= 2:
+    if _single_vertex_orbit(g) and len(edge_orbit_refs(g)) >= 2:
         for _ in range(rng.randrange(0, max_slides + 1)):
             refs = edge_orbit_refs(g)
             s_ref, t_ref = rng.sample(refs, 2)

@@ -176,13 +176,17 @@ def _check_examples() -> Check:
     return check
 
 
-def _check_graphs(max_p: int, per_prime: int = 10) -> Check:
+# Random valid graphs normalised and replayed per prime.
+GRAPHS_PER_PRIME = 10
+
+
+def _check_graphs(max_p: int) -> Check:
     check = Check("equivariant graph moves and normal forms")
     for p in (2, 3, 5):
         if p > max_p:
             continue
         rng = Random(20_000 + p)
-        for index in range(per_prime):
+        for index in range(GRAPHS_PER_PRIME):
             g = graphs.random_valid_graph(p, max_rank=21, rng=rng)
             report = graphs.validate(g)
             check.expect(report.ok, f"p={p} #{index}: generator output invalid")

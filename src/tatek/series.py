@@ -143,10 +143,12 @@ class GroupExpr(Value):
 
     Each node knows its rational cohomology series, the registry entries it
     names (depth first, left to right) and its printed form.  A child's series
-    is taken through :func:`series_of`, so every node passes through it.
+    is taken through :func:`series_of`, so every node passes through it.  A
+    registry reference reads :func:`default_registry`, which ``TATEK_REGISTRY``
+    chooses.
     """
 
-    def series(self, registry: Registry) -> PoincareSeries:
+    def series(self) -> PoincareSeries:
         raise NotImplementedError
 
     def registry_names(self) -> Iterator[str]:
@@ -154,7 +156,7 @@ class GroupExpr(Value):
 
 
 class Finite(GroupExpr):
-    def series(self, registry: Registry) -> PoincareSeries:
+    def series(self) -> PoincareSeries:
         return series_point()
 
     def __str__(self) -> str:
@@ -164,7 +166,7 @@ class Finite(GroupExpr):
 class FreeGroup(GroupExpr):
     rank: int
 
-    def series(self, registry: Registry) -> PoincareSeries:
+    def series(self) -> PoincareSeries:
         return series_free_group(self.rank)
 
     def __str__(self) -> str:
@@ -174,7 +176,7 @@ class FreeGroup(GroupExpr):
 class FreeAbelian(GroupExpr):
     rank: int
 
-    def series(self, registry: Registry) -> PoincareSeries:
+    def series(self) -> PoincareSeries:
         return series_free_abelian(self.rank)
 
     def __str__(self) -> str:
@@ -184,8 +186,8 @@ class FreeAbelian(GroupExpr):
 class RegistryRef(GroupExpr):
     name: str
 
-    def series(self, registry: Registry) -> PoincareSeries:
-        entry = registry.lookup(self.name)
+    def series(self) -> PoincareSeries:
+        entry = registry_lookup(self.name)
         if not entry.known:
             raise UnknownCohomology(self.name)
         assert entry.series is not None
@@ -201,10 +203,10 @@ class RegistryRef(GroupExpr):
 class Product(GroupExpr):
     factors: tuple[GroupExpr, ...]
 
-    def series(self, registry: Registry) -> PoincareSeries:
+    def series(self) -> PoincareSeries:
         result = series_point()
         for factor in self.factors:
-            result = result.convolve(series_of(factor, registry))
+            result = result.convolve(series_of(factor))
         return result
 
     def registry_names(self) -> Iterator[str]:
@@ -220,8 +222,8 @@ class FlipSquare(GroupExpr):
 
     inner: GroupExpr
 
-    def series(self, registry: Registry) -> PoincareSeries:
-        return flip_symmetric_square(series_of(self.inner, registry))
+    def series(self) -> PoincareSeries:
+        return flip_symmetric_square(series_of(self.inner))
 
     def registry_names(self) -> Iterator[str]:
         return self.inner.registry_names()
@@ -350,41 +352,45 @@ class Registry:
         raise NoSuchEntry(name)
 
 
-_default_registry: Registry | None = None
+_registry_cache: Registry | None = None
 
 
 def default_registry() -> Registry:
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = Registry.load_default()
-    return _default_registry
+    global _registry_cache
+    if _registry_cache is None:
+        _registry_cache = Registry.load_default()
+    return _registry_cache
 
 
 def reset_default_registry() -> None:
-    """Drop the cached registry (used after changing the override env var)."""
-    global _default_registry
-    _default_registry = None
+    """Drop the cached registry, so that the next lookup reads
+    ``TATEK_REGISTRY`` again: the one way to choose the registry."""
+    global _registry_cache
+    _registry_cache = None
 
 
-def registry_lookup(name: str, registry: Registry | None = None) -> RegistryEntry:
-    return (registry or default_registry()).lookup(name)
+def registry_lookup(name: str) -> RegistryEntry:
+    return default_registry().lookup(name)
 
 
-def series_of(expr: GroupExpr, registry: Registry | None = None) -> PoincareSeries:
+def series_of(expr: GroupExpr) -> PoincareSeries:
     """Evaluate a group expression to its rational cohomology series.
 
     Raises :class:`UnknownCohomology` naming the blocking entry as soon as an
     unknown registry value is touched, so unknowns poison eagerly.
     """
-    return expr.series(registry or default_registry())
+    return expr.series()
 
 
-def citations_of(expr: GroupExpr, registry: Registry | None = None) -> list[str]:
-    """Citations of every registry entry referenced by an expression."""
-    reg = registry or default_registry()
-    out: list[str] = []
-    for name in expr.registry_names():
-        citation = reg.lookup(name).citation
+def merge_citations(out: list[str], *citations: str) -> None:
+    """Append each non-empty citation that ``out`` lacks, in the order given."""
+    for citation in citations:
         if citation and citation not in out:
             out.append(citation)
+
+
+def citations_of(expr: GroupExpr) -> list[str]:
+    """Citations of every registry entry referenced by an expression."""
+    out: list[str] = []
+    merge_citations(out, *(registry_lookup(name).citation for name in expr.registry_names()))
     return out

@@ -18,18 +18,32 @@ def _load_tracing():
     return module
 
 
+# (argv, first stdout record, the assemble span it must open); ``rational``
+# also reaches the registry through ``registry_lookup`` for ``OutF<n>``.
+RUNS = (
+    (["tate", "--p", "5", "--n", "6"], "record=tate ", "assemble.tate_k"),
+    (["rational", "--p", "5", "--n", "7"], "record=rational ", "assemble.rational_k"),
+)
+
+
 def test_tracer_installs_over_the_cli_and_uninstalls(capsys):
     tracing = _load_tracing()
-    originals = (cli.cmd_tate, cli.build_parser, series.series_of, series.Registry.lookup)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        assert cli.main(["tate", "--p", "5", "--n", "6", "--format", "records"]) == 0
-    finally:
-        tracer.uninstall()
-    assert (cli.cmd_tate, cli.build_parser, series.series_of, series.Registry.lookup) == originals
-    assert capsys.readouterr().out.startswith("record=tate ")
-    names = {span[0] for span in tracer.spans}
-    assert {"cli.parse", "cli.main.tate", "assemble.tate_k", "series.series_of"} <= names
-    assert {"classes.order_p_classes", "records.render"} <= names
-    assert tracer.counts["series.convolve"] > 0
+
+    def patched():
+        return (cli.cmd_tate, cli.build_parser, series.series_of, series.Registry.lookup)
+
+    originals = patched()
+    for argv, head, layer in RUNS:
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.main([*argv, "--format", "records"]) == 0
+        finally:
+            tracer.uninstall()
+        assert patched() == originals
+        assert capsys.readouterr().out.startswith(head)
+        names = {span[0] for span in tracer.spans}
+        assert {"cli.parse", f"cli.main.{argv[0]}", layer, "assemble.tate_k"} <= names
+        assert {"series.series_of", "series.lookup"} <= names
+        assert {"classes.order_p_classes", "records.render"} <= names
+        assert tracer.counts["series.convolve"] > 0

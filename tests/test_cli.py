@@ -17,8 +17,8 @@ from tatek.graphs import (
     dumps as graph_dumps,
     to_json_obj,
 )
-from tatek.modp import StabiliserKind
-from tatek.orbits import orbit_report
+from tatek.modp import ClosureExceedsBound, StabiliserKind
+from tatek.orbits import NonIntegralOrbitCount, orbit_report
 from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
 
@@ -409,6 +409,34 @@ def test_unreadable_registry_override(registry_override, capsys):
     )
 
 
+def test_registry_override_reaches_rational_and_table(registry_override, capsys):
+    citation = "test override: OutF7 with two odd classes"
+    doc = _with_entry(
+        "OutF7", {"status": "known", "dims": {"0": 1, "2": 3, "5": 2}, "citation": citation}
+    )
+    registry_override.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = _main_in_process(
+        capsys, "rational", "--p", "5", "--n", "7", "--format", "records"
+    )
+    assert code == 0
+    records = parse_records(out)
+    head = records[0]
+    # The torsion part stays (3, 0); OutF7 now adds (4, 2) instead of (2, 1).
+    assert [head[k] for k in ("tate_even", "tate_odd", "outfn_even", "outfn_odd")] == [
+        "3", "0", "4", "2"
+    ]
+    assert (head["even"], head["odd"]) == ("7", "2")
+    cited = [r["text"] for r in records if r["record"] == "citation"]
+    assert cited[-1] == citation and not any("Bartholdi" in text for text in cited)
+
+    code, out, _ = _main_in_process(capsys, "table", "--which", "5", "--format", "records")
+    assert code == 0
+    records = parse_records(out)
+    (cell,) = [r for r in records if r["record"] == "cell" and (r["n"], r["p"]) == ("7", "5")]
+    assert (cell["status"], cell["even"], cell["odd"]) == ("known", "7", "2")
+    assert citation in [r["text"] for r in records if r["record"] == "citation"]
+
+
 def test_selftest_refuses_max_p_above_the_orbit_bound(monkeypatch, capsys):
     # Refused before any sweep starts: a sweep that ran would call this.
     def no_sweep(limit):
@@ -544,3 +572,22 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert err == (
         "internal error: AssertionError: normalization ended off normal form: steps [2]\n"
     )
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NonIntegralOrbitCount("Burnside sum 7 is not divisible by the group order 2"),
+        ClosureExceedsBound("closure grew past 10 elements"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_internal_faults_are_not_reported_as_domain_errors(error, monkeypatch, capsys):
+    # Neither can be reached from command-line input: each means a bug.
+    def broken(group):
+        raise error
+
+    monkeypatch.setattr("tatek.orbits.burnside_orbit_count", broken)
+    code, out, err = _main_in_process(capsys, "orbits", "--p", "5")
+    assert (code, out) == (cli.EXIT_INTERNAL_ERROR, "")
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
