@@ -12,11 +12,15 @@ Exit codes:
   3  domain error (the module error name is printed verbatim)
   4  the requested result is entirely unknown
   5  internal error (a bug in tatek, not in the input)
+  141  stdout was closed before the output ended; nothing is written to
+       stderr (128 + SIGPIPE, what a shell reports for ``cat`` there)
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -74,6 +78,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_ALL_UNKNOWN = 4
 EXIT_INTERNAL_ERROR = 5
+EXIT_BROKEN_PIPE = 141
 
 class DemoGraphTooLarge(GraphTooLarge):
     """A demo graph name asks for more than ``MAX_HALF_EDGES`` half-edges."""
@@ -500,6 +505,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout: neither the input's fault nor a bug.
+        raise
     except _DOMAIN_ERRORS as exc:
         return _domain_error(exc)
     except Exception as exc:
@@ -508,5 +516,25 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+def run() -> int:
+    """The process entry of ``python -m tatek``, the ``tatek`` script and this
+    file: ``main()``, then stdout flushed.  Whatever the exit, every object
+    left is frozen, so the interpreter's shutdown collections have nothing to
+    walk.  ``main`` itself never freezes: in-process callers keep collecting."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of what is
+        # still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

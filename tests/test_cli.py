@@ -591,3 +591,91 @@ def test_internal_faults_are_not_reported_as_domain_errors(error, monkeypatch, c
     code, out, err = _main_in_process(capsys, "orbits", "--p", "5")
     assert (code, out) == (cli.EXIT_INTERNAL_ERROR, "")
     assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+@pytest.mark.parametrize("module", ["tatek", "tatek.cli"])
+def test_closed_stdout_exits_141_without_stderr(module):
+    # A reader that stops early (`tatek orbits --list | head`) is not a fault
+    # of tatek's: the exit is 128 + SIGPIPE, as a shell reports for `cat`.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", module, "orbits", "--p", "211", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(b"edge stabiliser at p=211: ")
+    assert (code, err) == (141, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
+
+
+_EXIT_PATHS = {
+    "success": (["tate", "--p", "11", "--n", "12"], 0),
+    "usage_error": (["tate", "--p", "11"], 2),
+    "version": (["--version"], 0),
+    "domain_error": (["tate", "--p", "3", "--n", "9"], 3),
+    "internal_error": (["normalize", "--demo", "canonical_p3_k1"], 5),
+}
+
+
+def _exit_code(call):
+    try:
+        return call()
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, code", _EXIT_PATHS.values(), ids=_EXIT_PATHS)
+def test_run_freezes_once_on_every_exit_and_main_never(argv, code, monkeypatch, capsys):
+    def broken(graph):
+        raise AssertionError("only the internal_error path normalizes")
+
+    freezes = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
+    monkeypatch.setattr(cli, "normalize", broken)
+    assert _exit_code(lambda: cli.main(list(argv))) == code
+    assert freezes == []
+    monkeypatch.setattr(sys, "argv", ["tatek", *argv])
+    assert _exit_code(cli.run) == code
+    assert len(freezes) == 1
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, on a file descriptor of its own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_run_on_a_closed_stdout_freezes_and_points_it_at_devnull(
+    tmp_path, monkeypatch, capsys
+):
+    freezes = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        monkeypatch.setattr(sys, "argv", ["tatek", "tate", "--p", "11", "--n", "12"])
+        assert cli.run() == cli.EXIT_BROKEN_PIPE
+        assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        os.close(fd)
+    assert len(freezes) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_installed_script_goes_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC_DIR).parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts["tatek"] == "tatek.cli:run"
