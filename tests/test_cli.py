@@ -47,10 +47,15 @@ COMMANDS = [
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def child_env():
+    """This environment, with ``src`` first on the child's import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    return env
+
+
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    existing = full_env.get("PYTHONPATH")
-    full_env["PYTHONPATH"] = SRC_DIR if not existing else f"{SRC_DIR}:{existing}"
+    full_env = child_env()
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -295,10 +300,8 @@ def test_import_loads_every_layer_but_not_dataclasses():
         "print(' '.join(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))); "
         f"print(' '.join(m for m in {layers!r} if 'tatek.' + m not in sys.modules))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "\n\n"
@@ -597,11 +600,9 @@ def test_internal_faults_are_not_reported_as_domain_errors(error, monkeypatch, c
 def test_closed_stdout_exits_141_without_stderr(module):
     # A reader that stops early (`tatek orbits --list | head`) is not a fault
     # of tatek's: the exit is 128 + SIGPIPE, as a shell reports for `cat`.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     proc = subprocess.Popen(
         [sys.executable, "-m", module, "orbits", "--p", "211", "--list"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
