@@ -199,11 +199,16 @@ def _orbit_items(args, p: int) -> Iterator[Item]:
                     record="fixed_points", kind=kind.value, p=p, element=element, count=count
                 )
                 yield record, f"  fixed points of {element}: {count}"
+            # Only the text line names every member of an orbit.
+            as_text = args.format == "text"
             for orbit in iter_orbits(stabiliser_group(kind, p)):
                 rep = f"({orbit[0][0]},{orbit[0][1]})"
                 record = dict(record="orbit", kind=kind.value, p=p, rep=rep, size=len(orbit))
-                shown = " ".join(f"({l},{m})" for l, m in orbit)
-                yield record, f"  orbit size {len(orbit)}: {shown}"
+                line = None
+                if as_text:
+                    shown = " ".join(f"({l},{m})" for l, m in orbit)
+                    line = f"  orbit size {len(orbit)}: {shown}"
+                yield record, line
     if not args.kind:
         summary = quotient_summary(p)
         vertices, edges, betti = summary.vertex_orbits, summary.edge_orbits, summary.betti_one

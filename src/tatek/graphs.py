@@ -163,9 +163,9 @@ class EquivariantGraph(Value):
         attach = _check_ints(tuple(self.attach), "attach")
         if len(attach) != h:
             raise GraphStructureError("attach must assign a vertex to every half-edge")
-        for v in attach:
-            if not (0 <= v < self.n_vertices):
-                raise GraphStructureError(f"attach value {v} out of range")
+        if attach and (min(attach) < 0 or max(attach) >= self.n_vertices):
+            bad = next(v for v in attach if not 0 <= v < self.n_vertices)
+            raise GraphStructureError(f"attach value {bad} out of range")
         object.__setattr__(self, "attach", attach)
 
     # -- cycle index -------------------------------------------------------
@@ -179,6 +179,14 @@ class EquivariantGraph(Value):
     def _half_edge_cycles(self) -> _Cycles:
         """Cycles of ``half_edge_action``, derived once per (immutable) graph."""
         return _Cycles(self.half_edge_action)
+
+    @cached_property
+    def _edge_orbit_reps(self) -> tuple[int, ...]:
+        """Each half-edge's edge-orbit representative, min(geometric_orbit(h)):
+        the smaller of the cycle minima of h and of its partner."""
+        cycles = self._half_edge_cycles
+        minimum = list(map([c[0] for c in cycles.cycles].__getitem__, cycles.cycle_id))
+        return tuple(map(min, minimum, map(minimum.__getitem__, self.involution)))
 
     # -- basic shape -------------------------------------------------------
 
@@ -218,9 +226,8 @@ class EquivariantGraph(Value):
         return tuple(sorted(out))
 
     def orbit_rep(self, h: int) -> int:
-        """min(geometric_orbit(h)) in O(1): the smaller of two cycle minima."""
-        cycles = self._half_edge_cycles
-        return min(cycles.minimum(h), cycles.minimum(self.involution[h]))
+        """min(geometric_orbit(h)) in O(1), from the cached representatives."""
+        return self._edge_orbit_reps[h]
 
 
 class EdgeOrbitRef(Value):
@@ -233,8 +240,7 @@ class EdgeOrbitRef(Value):
 def edge_orbit_refs(g: EquivariantGraph) -> list[EdgeOrbitRef]:
     """Canonical representatives (minimal half-edge index) of all edge orbits;
     O(H) from the cycle index."""
-    reps = sorted({g.orbit_rep(h) for h in range(g.n_half_edges)})
-    return [EdgeOrbitRef(r) for r in reps]
+    return [EdgeOrbitRef(r) for r in sorted(set(g._edge_orbit_reps))]
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +369,9 @@ class _WorkingGraph:
     orbit at the vertex it merges into (a union-find), so nothing is
     renumbered until :meth:`compact`.  Until then indices are those of the
     loaded graph, and :meth:`index_of` gives a half-edge's index in the
-    collapsed graph.  Orbit representatives and vertex-orbit labels are read
-    once from the loaded graph's cycle index: slides keep every orbit, and a
-    collapse removes one edge orbit and one vertex orbit whole.
+    collapsed graph.  Orbit representatives are the loaded graph's own, and
+    vertex-orbit labels are read once from its cycle index: slides keep every
+    orbit, and a collapse removes one edge orbit and one vertex orbit whole.
 
     Once compact, a working graph has the fields of an ``EquivariantGraph``
     (``p``, ``involution``, ``attach``, ``vertex_action``,
@@ -387,9 +393,7 @@ class _WorkingGraph:
         self.attach = list(g.attach)
         self.vertex_action = list(g.vertex_action)
         self.half_edge_action = list(g.half_edge_action)
-        cycles = g._half_edge_cycles
-        minimum = [cycles.cycles[c][0] for c in cycles.cycle_id]
-        self._rep = [min(m, minimum[partner]) for m, partner in zip(minimum, self.involution)]
+        self._rep = g._edge_orbit_reps
         vertex_cycles = g._vertex_cycles
         self._orbit = [vertex_cycles.cycles[c][0] for c in vertex_cycles.cycle_id]
         self.n_vertex_orbits = len(vertex_cycles.cycles)
@@ -1029,8 +1033,31 @@ def from_json_obj(obj: dict) -> EquivariantGraph:
         raise GraphStructureError(f"missing graph field: {exc}") from exc
 
 
+# One half-edge record and one integer of a graph file, at the depth and
+# indent that ``json.dumps(to_json_obj(g), indent=2, sort_keys=True)`` gives.
+_HALF_EDGE_RECORD = '    {\n      "id": %d,\n      "partner": %d,\n      "vertex": %d\n    }'
+_LIST_INT = "    %d"
+
+
+def _json_list(items: Iterable[str]) -> str:
+    """Laid-out items as a list at the file's second level."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
 def dumps(g: EquivariantGraph) -> str:
-    return json.dumps(to_json_obj(g), indent=2, sort_keys=True) + "\n"
+    """The graph file: ``json.dumps(to_json_obj(g), indent=2, sort_keys=True)``
+    plus a newline, byte for byte.  Every field is an exact ``int``, so each
+    list is formatted in one pass of ``%`` over its values, not by the
+    per-value Python encoder that ``indent`` selects."""
+    records = map(_HALF_EDGE_RECORD.__mod__, zip(range(g.n_half_edges), g.involution, g.attach))
+    return (
+        f'{{\n  "half_edge_action": {_json_list(map(_LIST_INT.__mod__, g.half_edge_action))},\n'
+        f'  "half_edges": {_json_list(records)},\n'
+        f'  "p": {g.p},\n'
+        f'  "vertex_action": {_json_list(map(_LIST_INT.__mod__, g.vertex_action))},\n'
+        f'  "vertices": {g.n_vertices}\n}}\n'
+    )
 
 
 def loads(text: str) -> EquivariantGraph:

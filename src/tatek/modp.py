@@ -201,9 +201,9 @@ class StabiliserKind(Enum):
     THETA_VERTEX = "theta"
 
 
-# Generic orders of the three stabilisers for p >= 5.  At p = 2, 3 some of the
-# defining matrices coincide and deduplication shrinks the group; the order
-# always divides the generic value.
+# Generic orders of the three stabilisers, reached from p = 3 on.  At p = 2
+# some of the defining matrices coincide and deduplication shrinks the groups
+# to orders 2, 2 and 6, which divide the generic values.
 GENERIC_STABILISER_ORDER = {
     StabiliserKind.EDGE: 4,
     StabiliserKind.ROSE_VERTEX: 8,

@@ -14,6 +14,7 @@ never the implementation itself.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from ._value import Value
@@ -27,9 +28,9 @@ from .modp import (
 
 
 # The explicit partition allocates a p^2-byte mask, 4 MB at the bound, and
-# ``iter_orbits`` holds one decoded orbit beside it; the bound keeps the mask
-# and the O(p^2) listing small.  Counting at p = 1999 takes a few tens of
-# milliseconds per kind.
+# keeps the last one; ``iter_orbits`` holds one decoded orbit beside it.  The
+# bound keeps the masks and the O(p^2) listing small.  Counting at p = 1999
+# takes a few tens of milliseconds per kind.
 MAX_ORBIT_PRIME = 2000
 
 
@@ -109,7 +110,8 @@ def burnside_orbit_count(g: MatrixGroup) -> int:
     return orbits
 
 
-def _minimum_mask(g: MatrixGroup) -> bytearray:
+@lru_cache(maxsize=1)
+def _minimum_mask(g: MatrixGroup) -> bytes:
     """The brute-force partition as a p^2-byte map over flat indices
     v = l*p + m, whose order is the lexicographic order of (l, m): byte v is 0
     exactly when (l, m) is nonzero and no element of the group maps it to a
@@ -122,6 +124,10 @@ def _minimum_mask(g: MatrixGroup) -> bytearray:
     map is exact for every group; the entries of the three stabiliser groups
     all lie in {0, +-1}, so for them that loop never runs.  O(p |G|) slice
     assignments on p^2 bytes.
+
+    The last mask is kept: ``orbits --list`` counts a group's orbits through
+    :func:`orbit_report` and then lists them through :func:`iter_orbits`,
+    and so builds one mask per kind.
     """
     p = check_orbit_prime(g.p)
     mask = bytearray(p * p)
@@ -165,10 +171,10 @@ def _minimum_mask(g: MatrixGroup) -> bytearray:
                     if x < l or (x == l and (c * l + d * m) % p < m):
                         mask[row + m] = 1
     mask[0] = 1
-    return mask
+    return bytes(mask)
 
 
-def _zeros(mask: bytearray) -> Iterator[int]:
+def _zeros(mask: bytes) -> Iterator[int]:
     """The smallest flat index of each orbit, ascending: the zeros of the mask."""
     v = mask.find(0)
     while v >= 0:
@@ -176,7 +182,7 @@ def _zeros(mask: bytearray) -> Iterator[int]:
         v = mask.find(0, v + 1)
 
 
-def _orbit_starts(mask: bytearray) -> list[int]:
+def _orbit_starts(mask: bytes) -> list[int]:
     """The zeros as a list, as the tests compare them with a reference walker."""
     return list(_zeros(mask))
 
@@ -211,7 +217,7 @@ def closed_form_orbits(kind: StabiliserKind, p: int) -> int:
             return 2
         return (p - 1) * (p + 3) // 4
     if kind is StabiliserKind.ROSE_VERTEX:
-        if p in (2, 3):
+        if p == 2:
             return 2
         return (p - 1) * (p + 5) // 8
     if kind is StabiliserKind.THETA_VERTEX:

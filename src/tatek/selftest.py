@@ -53,7 +53,7 @@ def _check_stabiliser_orders(max_p: int) -> Check:
         for kind in StabiliserKind:
             order = stabiliser_group(kind, p).order
             generic = GENERIC_STABILISER_ORDER[kind]
-            if p >= 5:
+            if p >= 3:
                 check.expect(order == generic, f"{kind.value} at p={p}: order {order}")
             else:
                 check.expect(

@@ -64,6 +64,10 @@ FULL = CRITERION_10 + EXAMPLES + [
 BOTH_FORMATS = [
     ["tate", "--p", "3", "--n", "9"],
     ["tate", "--p", "5", "--n", "6"],
+    # The first contributions that take a flip-square of more than a point:
+    # theta(4,4) at p = 11 and theta(5,5) at p = 13.
+    ["tate", "--p", "11", "--n", "18"],
+    ["tate", "--p", "13", "--n", "22"],
     ["rational", "--p", "3", "--n", "3"],
     ["rational", "--p", "5", "--n", "8"],
     ["normalize", "--demo", "canonical_p3_k2"],

@@ -1,6 +1,8 @@
+import json
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tatek.graphs as G
 from tatek.graphs import (
@@ -170,6 +172,39 @@ def test_constructor_rejects_malformed_data():
             p=4, n_vertices=1, involution=(1, 0), attach=(0, 0),
             vertex_action=(0,), half_edge_action=(0, 1),
         )
+
+
+def reference_first_bad_attach(attach, n_vertices):
+    """The per-half-edge range check the constructor used to run."""
+    for v in attach:
+        if not (0 <= v < n_vertices):
+            return v
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_vertices=st.integers(1, 4),
+    attach=st.lists(st.integers(-3, 6), max_size=8),
+)
+@example(n_vertices=3, attach=[0, 5, -1, 7])
+@example(n_vertices=3, attach=[1, -2, 9, 3])
+@example(n_vertices=1, attach=[])
+def test_attach_range_error_names_the_first_bad_value(n_vertices, attach):
+    def build():
+        return EquivariantGraph(
+            p=2, n_vertices=n_vertices, involution=tuple(range(len(attach))),
+            attach=tuple(attach), vertex_action=tuple(range(n_vertices)),
+            half_edge_action=tuple(range(len(attach))),
+        )
+
+    bad = reference_first_bad_attach(attach, n_vertices)
+    if bad is None:
+        assert build().attach == tuple(attach)
+    else:
+        with pytest.raises(GraphStructureError) as exc:
+            build()
+        assert str(exc.value) == f"attach value {bad} out of range"
 
 
 def test_collapse_hexagon():
@@ -419,6 +454,41 @@ def test_json_roundtrip():
     text = dumps(g)
     assert loads(text) == g
     assert dumps(loads(text)) == text
+
+
+def reference_dumps(g):
+    """The graph file as the JSON encoder lays it out: what ``dumps`` writes."""
+    return json.dumps(G.to_json_obj(g), indent=2, sort_keys=True) + "\n"
+
+
+def assert_writes_like_the_encoder(g):
+    text = dumps(g)
+    assert text == reference_dumps(g)
+    assert loads(text) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    max_rank=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_dumps_matches_the_encoder_on_random_graphs(p, max_rank, seed):
+    assert_writes_like_the_encoder(random_valid_graph(p, max_rank, Random(seed)))
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (2, 1), (3, 0), (5, 2), (7, 0), (97, 1)])
+def test_dumps_matches_the_encoder_on_canonical_graphs(p, k):
+    assert_writes_like_the_encoder(canonical_graph(p, k))
+
+
+def test_dumps_writes_empty_lists_as_the_encoder_does():
+    # No half-edges: the graph fails validate, but it can still be written.
+    g = EquivariantGraph(
+        p=3, n_vertices=1, involution=(), attach=(), vertex_action=(0,), half_edge_action=()
+    )
+    assert '"half_edges": [],' in dumps(g)
+    assert_writes_like_the_encoder(g)
 
 
 def test_json_accepts_shuffled_half_edges():

@@ -122,7 +122,7 @@ def test_closure_contains_inverses_and_identity():
 def test_stabiliser_orders_generic(kind):
     for p in PRIMES_TO_97:
         order = stabiliser_group(kind, p).order
-        if p >= 5:
+        if p >= 3:
             assert order == GENERIC_STABILISER_ORDER[kind], (kind, p)
         else:
             assert GENERIC_STABILISER_ORDER[kind] % order == 0, (kind, p)

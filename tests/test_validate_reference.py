@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tatek.graphs import (
     EquivariantGraph,
+    _WorkingGraph,
     edge_orbit_refs,
     has_fixed_vertex,
     random_valid_graph,
@@ -123,9 +124,13 @@ def assert_agrees(g):
     report = validate(g)
     assert (report.ok, report.violations) == reference_validate(g)
     assert has_fixed_vertex(g) == reference_has_fixed_vertex(g)
+    # The graph and its working copy share one representative list, built
+    # from cycle minima; here each half-edge's is walked out on its own.
     reps = [reference_orbit_rep(g, h) for h in range(g.n_half_edges)]
     assert [g.orbit_rep(h) for h in range(g.n_half_edges)] == reps
     assert [r.half_edge for r in edge_orbit_refs(g)] == sorted(set(reps))
+    work = _WorkingGraph(g)
+    assert [work.orbit_rep(h) for h in range(g.n_half_edges)] == reps
 
 
 def _graph(g, **changes):
