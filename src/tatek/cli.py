@@ -340,8 +340,7 @@ def demo_graph(name: str):
         return g
     from random import Random
 
-    scrambled, _ = scramble_graph(g, Random(int(match.group(3))))
-    return scrambled
+    return scramble_graph(g, Random(int(match.group(3))))
 
 
 def cmd_normalize(args) -> int:

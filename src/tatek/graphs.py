@@ -10,8 +10,10 @@ public moves return new graphs.  Collapse and slide run on one private
 mutable working copy, ``_WorkingGraph``: a public move loads it, applies
 itself and freezes the result, and ``normalize`` applies its whole move
 sequence to a single working copy and freezes only the normal form.
-``expand_orbit``, the inverse of a collapse that scrambles demo and test graphs,
-builds its larger graph directly.
+``scramble_graph``, which builds demo and test graphs by inverse moves, runs
+all its slides on one working copy and freezes it once, keeping no trace of
+the steps; ``expand_orbit``, the inverse of a collapse, builds its larger
+graph directly.
 
 The normal form is the rose-cycle graph: p vertices in a single orbit, one
 edge orbit forming a p-cycle compatible with the rotation, and k loop orbits
@@ -61,10 +63,10 @@ class NormalizationError(RuntimeError):
     """The graph admits no move sequence to the rose-cycle normal form."""
 
 
-# The largest graph file, in half-edges, that ``from_json_obj`` accepts; the
-# CLI's demo graphs are held to the same bound.  ``normalize`` grows about
-# linearly in H: at the bound the slowest of 60 scrambled seeds (p = 2 and 3)
-# took 0.75 s (median 0.52 s) on a 2-vCPU Xeon with Python 3.11.
+# The largest graph file, in half-edges and in vertices, that ``from_json_obj``
+# accepts; the CLI's demo graphs are held to the same bound.  ``normalize``
+# grows about linearly in H: at the bound the slowest of 60 scrambled seeds
+# (p = 2 and 3) took 0.75 s (median 0.52 s) on a 2-vCPU Xeon with Python 3.11.
 MAX_HALF_EDGES = 100_000
 
 # The longest graph file, in characters, that ``normalize --input`` reads; a
@@ -76,8 +78,8 @@ MAX_GRAPH_FILE_CHARS = 32 * 2**20
 
 
 class GraphTooLarge(ValueError):
-    """A graph has more than ``MAX_HALF_EDGES`` half-edges, or its file more
-    than ``MAX_GRAPH_FILE_CHARS`` characters."""
+    """A graph has more than ``MAX_HALF_EDGES`` half-edges or vertices, or its
+    file more than ``MAX_GRAPH_FILE_CHARS`` characters."""
 
 
 def _check_ints(values: tuple, name: str) -> tuple[int, ...]:
@@ -930,28 +932,30 @@ def scramble_graph(
     rng: Random,
     max_slides: int = 6,
     max_expansions: int = 4,
-) -> tuple[EquivariantGraph, list[EquivariantGraph]]:
+) -> EquivariantGraph:
     """Apply random inverse moves: slides (while a single vertex orbit with at
-    least two edge orbits allows them), then equivariant expansions.  Every
-    intermediate graph is valid by construction; the trace is returned oldest
-    first."""
-    trace = [g]
-    if _single_vertex_orbit(g) and len(edge_orbit_refs(g)) >= 2:
+    least two edge orbits allows them), then equivariant expansions.  Each
+    step leaves a valid graph.
+
+    The slides run on one working copy, frozen once after the last of them,
+    and each expansion builds its graph; no intermediate graph is kept.
+    Slides keep every edge orbit, so the representatives are listed once.
+    """
+    work = _WorkingGraph(g)
+    reps = work.orbit_reps()
+    if work.n_vertex_orbits == 1 and len(reps) >= 2:
         for _ in range(rng.randrange(0, max_slides + 1)):
-            refs = edge_orbit_refs(g)
-            s_ref, t_ref = rng.sample(refs, 2)
-            hs = s_ref.half_edge if rng.random() < 0.5 else g.involution[s_ref.half_edge]
-            t_family = t_ref.half_edge if rng.random() < 0.5 else g.involution[t_ref.half_edge]
-            ht = _halfedge_of_family_at(g, t_family, g.attach[g.involution[hs]])
-            g = slide(g, EdgeOrbitRef(hs), EdgeOrbitRef(ht))
-            trace.append(g)
+            s, t = rng.sample(reps, 2)
+            hs = s if rng.random() < 0.5 else work.involution[s]
+            t_family = t if rng.random() < 0.5 else work.involution[t]
+            ht = _halfedge_of_family_at(work, t_family, work.attach[work.involution[hs]])
+            work.slide(hs, ht)
+        g = work.freeze()
     for _ in range(rng.randrange(0, max_expansions + 1)):
         vertex = rng.randrange(g.n_vertices)
-        candidates = g.half_edges_at(vertex)
-        moved = [h for h in candidates if rng.random() < 0.5]
+        moved = [h for h in g.half_edges_at(vertex) if rng.random() < 0.5]
         g, _ = expand_orbit(g, vertex, moved)
-        trace.append(g)
-    return g, trace
+    return g
 
 
 def random_valid_graph(
@@ -960,8 +964,7 @@ def random_valid_graph(
     rng: Random,
     max_slides: int = 6,
     max_expansions: int = 4,
-    return_trace: bool = False,
-):
+) -> EquivariantGraph:
     """A valid graph generated by inverse moves from a random canonical form.
 
     Moves preserve the rank, so the rank is fixed by the chosen canonical
@@ -970,12 +973,9 @@ def random_valid_graph(
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
     k = rng.randrange(0, (max_rank - 1) // p + 1)
-    g, trace = scramble_graph(
+    return scramble_graph(
         canonical_graph(p, k), rng, max_slides=max_slides, max_expansions=max_expansions
     )
-    if return_trace:
-        return g, trace
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1010,13 @@ def from_json_obj(obj: dict) -> EquivariantGraph:
         if len(records) > MAX_HALF_EDGES:
             raise GraphTooLarge(
                 f"graph has {len(records)} half-edges, above the bound {MAX_HALF_EDGES}"
+            )
+        # A connected graph has at most H/2 + 1 vertices, so this refuses no
+        # valid graph under the half-edge bound.
+        vertices = obj.get("vertices")
+        if type(vertices) is int and vertices > MAX_HALF_EDGES:
+            raise GraphTooLarge(
+                f"graph has {vertices} vertices, above the bound {MAX_HALF_EDGES}"
             )
         for r in records:
             if not isinstance(r, dict):
@@ -1061,4 +1068,8 @@ def dumps(g: EquivariantGraph) -> str:
 
 
 def loads(text: str) -> EquivariantGraph:
-    return from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise GraphStructureError("graph file is nested too deeply to parse") from None
+    return from_json_obj(obj)

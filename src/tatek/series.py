@@ -271,7 +271,10 @@ class Registry:
 
     @classmethod
     def from_json_text(cls, text: str) -> "Registry":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise RegistryDataError("registry document is nested too deeply to parse") from None
         raw_entries = raw.get("entries") if isinstance(raw, dict) else None
         if not isinstance(raw_entries, dict):
             raise RegistryDataError("registry document: entries missing or not an object")

@@ -480,13 +480,17 @@ def test_normalize_demo_at_the_size_bound_runs(capsys):
     assert (code, out, err) == (0, "record=normal_form p=2 k=24999 rank=49999 moves=0\n", "")
 
 
-def test_normalize_input_above_the_size_bound_is_refused(tmp_path, monkeypatch, capsys):
-    # Refused from the length of the parsed half_edges list: the records are
-    # not even looked at, and no graph is built.
+@pytest.fixture
+def no_graph_built(monkeypatch):
     def no_graph(*args, **kwargs):
         raise AssertionError("a graph was built")
 
     monkeypatch.setattr(EquivariantGraph, "__init__", no_graph)
+
+
+def test_normalize_input_above_the_size_bound_is_refused(tmp_path, no_graph_built, capsys):
+    # Refused from the length of the parsed half_edges list: the records are
+    # not even looked at, and no graph is built.
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 2, "half_edges": [{}] * (MAX_HALF_EDGES + 1)}))
     code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
@@ -494,6 +498,37 @@ def test_normalize_input_above_the_size_bound_is_refused(tmp_path, monkeypatch, 
     assert err == (
         f"error: GraphTooLarge: graph has {MAX_HALF_EDGES + 1} half-edges, "
         f"above the bound {MAX_HALF_EDGES}\n"
+    )
+
+
+def test_normalize_input_with_more_vertices_than_the_bound_is_refused(
+    tmp_path, no_graph_built, capsys
+):
+    # A connected graph under the half-edge bound has at most 50,001 vertices.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"p": 2, "vertices": MAX_HALF_EDGES + 1, "half_edges": []}))
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: GraphTooLarge: graph has {MAX_HALF_EDGES + 1} vertices, "
+        f"above the bound {MAX_HALF_EDGES}\n"
+    )
+
+
+def test_deeply_nested_graph_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out, err) == (
+        3, "", "error: GraphStructureError: graph file is nested too deeply to parse\n"
+    )
+
+
+def test_deeply_nested_registry_is_refused(registry_override, capsys):
+    registry_override.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _main_in_process(capsys, "tate", "--p", "5", "--n", "6")
+    assert (code, out, err) == (
+        3, "", "error: RegistryDataError: registry document is nested too deeply to parse\n"
     )
 
 

@@ -32,6 +32,7 @@ from tatek.graphs import (
     slide,
     validate,
 )
+from test_normalize_reference import reference_random_valid_graph, reference_scramble_graph
 
 
 def single_orbit_graph(p, steps):
@@ -395,7 +396,8 @@ def test_normalize_slide_budget():
 
 
 def test_move_log_indices_are_sequential():
-    g, trace = random_valid_graph(3, 15, Random(11), return_trace=True)
+    g, trace = reference_random_valid_graph(3, 15, Random(11))
+    assert g == random_valid_graph(3, 15, Random(11))
     for before, after in zip(trace, trace[1:]):
         assert rank(before) == rank(after)
         assert validate(after).ok
@@ -413,32 +415,51 @@ def test_move_log_indices_are_sequential():
 def test_normalize_scrambled_canonical_round_trip(p, k, seed):
     """Up to about 10,000 half-edges, with collapses and hundreds of slides,
     normalise back to (p, k), and the move log replays to a canonical form."""
-    g, _ = G.scramble_graph(canonical_graph(p, k), Random(seed))
+    g = G.scramble_graph(canonical_graph(p, k), Random(seed))
     form, moves = normalize(g)
     assert (form.p, form.loops_per_vertex, form.rank) == (p, k, p * k + 1)
     assert {m.op for m in moves} == {"collapse", "slide"}
     assert is_canonical_form(G.replay(g, moves))
 
 
-def test_normalize_builds_one_graph_whatever_the_move_count(monkeypatch):
+def count_built_graphs(monkeypatch, fn, *args, **kwargs):
+    """fn's result and the number of ``EquivariantGraph`` objects it built."""
     built = []
     init = EquivariantGraph.__init__
 
-    def counting_init(self, *args, **kwargs):
+    def counting_init(self, *a, **kw):
         built.append(self)
-        init(self, *args, **kwargs)
+        init(self, *a, **kw)
 
+    monkeypatch.setattr(EquivariantGraph, "__init__", counting_init)
+    try:
+        return fn(*args, **kwargs), len(built)
+    finally:
+        monkeypatch.undo()
+
+
+def test_normalize_builds_one_graph_whatever_the_move_count(monkeypatch):
     counts = []
     for seed in (1, 20):
-        g, _ = G.scramble_graph(canonical_graph(2, 199), Random(seed))
-        monkeypatch.setattr(EquivariantGraph, "__init__", counting_init)
-        built.clear()
-        _, moves = normalize(g)
-        monkeypatch.undo()
-        assert len(built) == 1
+        g = G.scramble_graph(canonical_graph(2, 199), Random(seed))
+        (_, moves), built = count_built_graphs(monkeypatch, normalize, g)
+        assert built == 1
         counts.append(len(moves))
     # Seed 1 needs 3 collapses, seed 20 two collapses and 75 slides.
     assert counts == [3, 77]
+
+
+def test_scramble_builds_one_graph_for_all_slides_and_one_per_expansion(monkeypatch):
+    steps = []
+    for seed in (2, 5, 6, 7):
+        start = canonical_graph(3, 30)
+        g, built = count_built_graphs(monkeypatch, G.scramble_graph, start, Random(seed), 12)
+        _, trace = reference_scramble_graph(start, Random(seed), 12)
+        expansions = g.n_vertices // 3 - 1
+        assert built <= 1 + expansions
+        steps.append((len(trace) - 1 - expansions, expansions))
+    # (slides, expansions) of each seed.
+    assert steps == [(0, 0), (9, 0), (12, 3), (5, 4)]
 
 
 def test_apply_move_validates_op():

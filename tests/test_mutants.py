@@ -1,14 +1,27 @@
 """Named mutants: each replaces one function of the pipeline, in every
-``tatek`` module that holds it by name, and the oracles paired with it must
-then fail.  A mutant that nothing catches marks an oracle to strengthen."""
+``tatek`` module that holds it by name, or one method of the working graph,
+and the oracles paired with it must then fail.  A mutant that nothing catches
+marks an oracle to strengthen."""
 
+import inspect
 import json
 import sys
+import textwrap
+from random import Random
 
 import pytest
 
+import test_golden_moves as golden_moves
 from tatek import series
+from tatek.graphs import EdgeOrbitRef, _WorkingGraph, canonical_graph, dumps, scramble_graph, slide
 from test_golden_cli import GOLDEN_DIR, fixture_name, run_main
+from test_normalize_reference import (
+    assert_normalize_agrees,
+    gen_graphs,
+    partners_off_the_action_graph,
+    reference_scramble_graph,
+    reference_slide,
+)
 
 
 def patch_everywhere(monkeypatch, original, replacement) -> list[str]:
@@ -57,3 +70,96 @@ def test_plain_square_mutant_fails_the_flip_square_fixtures(monkeypatch, args, f
     label, real, mutant = FLIP_SQUARE_PINS[args]
     assert contribution_line(fmt, label, real) in expected["stdout"].splitlines()
     assert contribution_line(fmt, label, mutant) in mutated["stdout"].splitlines()
+
+
+def mutated_method(cls, name: str, old: str, new: str):
+    """``cls.name`` compiled again from its source with ``old`` replaced by
+    ``new``, in its module's namespace."""
+    method = getattr(cls, name)
+    source = textwrap.dedent(inspect.getsource(method))
+    assert source.count(old) == 1, f"{cls.__name__}.{name} no longer holds the mutated lines"
+    namespace = dict(vars(inspect.getmodule(method)))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+# Each new end of a slide written as soon as it is read.  On a valid graph the
+# slid half-edges and the ends they take lie in two different edge orbits, so
+# the order cannot matter and no golden output can show this mutant; only a
+# graph whose involution does not commute with the action can.
+SLIDE_WRITING_AS_IT_READS = (
+    "slide",
+    """\
+    ends = []
+    for _ in range(self.p):
+        ends.append((src, attach[dst]))
+        src = action[src]
+        dst = action[dst]
+    for src, v in ends:
+        attach[src] = v
+""",
+    """\
+    for _ in range(self.p):
+        attach[src] = attach[dst]
+        src = action[src]
+        dst = action[dst]
+""",
+)
+
+# A collapse that merges w into u p times instead of each w_k into u_k.
+COLLAPSE_WITHOUT_STEPPING = (
+    "collapse",
+    """\
+        merged[w] = u
+        u = vertex_action[u]
+        w = vertex_action[w]
+""",
+    "        merged[w] = u\n",
+)
+
+
+def check_golden_moves(tmp_path):
+    for name, p, k, slides, expansions, seed, _ in golden_moves.CASES:
+        g = golden_moves.scrambled(p, k, slides, expansions, seed)
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(g), encoding="utf-8")
+        result = run_main(["normalize", "--input", str(path), "--format", "records"])
+        golden = golden_moves.GOLDEN_DIR / f"{name}.records"
+        assert result["stdout"] == golden.read_text(encoding="utf-8")
+
+
+def check_normalize_reference(tmp_path):
+    for config in gen_graphs.GRAPH_CONFIGS[:2]:
+        assert_normalize_agrees(gen_graphs.scrambled(*config, Random(1)))
+    start = canonical_graph(5, 6)
+    expected, _ = reference_scramble_graph(start, Random(3), 12)
+    assert scramble_graph(start, Random(3), 12) == expected
+    args = (partners_off_the_action_graph(), EdgeOrbitRef(0), EdgeOrbitRef(3))
+    assert slide(*args) == reference_slide(*args)
+
+
+def check_scrambled_demo_fixtures(tmp_path):
+    for path in sorted(GOLDEN_DIR.glob("normalize_demo_scrambled_*.json")):
+        expected = json.loads(path.read_text(encoding="utf-8"))
+        assert run_main(expected["argv"]) == expected
+
+
+@pytest.mark.parametrize(
+    "mutation, checks",
+    [
+        (SLIDE_WRITING_AS_IT_READS, [check_normalize_reference]),
+        (
+            COLLAPSE_WITHOUT_STEPPING,
+            [check_golden_moves, check_normalize_reference, check_scrambled_demo_fixtures],
+        ),
+    ],
+    ids=["slide_writing_as_it_reads", "collapse_without_stepping"],
+)
+def test_working_graph_mutants_fail_their_oracles(mutation, checks, monkeypatch, tmp_path):
+    name, old, new = mutation
+    for check in checks:
+        check(tmp_path)
+    monkeypatch.setattr(_WorkingGraph, name, mutated_method(_WorkingGraph, name, old, new))
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check(tmp_path)

@@ -1,4 +1,5 @@
-"""``normalize`` and the public moves against the frozen-graph code they replaced.
+"""``normalize``, the public moves and ``scramble_graph`` against the
+frozen-graph code they replaced.
 
 The reference functions below are the earlier implementations, frozen: every
 collapse or slide builds a new ``EquivariantGraph`` and re-derives its cycle
@@ -7,7 +8,9 @@ package now runs every move on one mutable working copy.  Hypothesis feeds
 both sides scrambled graphs, graphs shaped like the benchmark's
 (``bench/gen_graphs.py``), graphs that fail validation and lone cycles that
 cannot be normalised; the normal form, the move log, and the type and message
-of any exception must agree.
+of any exception must agree.  ``reference_scramble_graph`` keeps every graph
+on its way, so the tests that check each scrambling step read its trace, and
+the package's scramble must build the same graph from the same draws.
 
 On some valid graphs the reference never ends: its shortest-path slides
 return to a graph seen before (p = 13 with edge orbits of steps 2 and 5).
@@ -136,6 +139,31 @@ def reference_slide(g, s, t):
         vertex_action=g.vertex_action,
         half_edge_action=g.half_edge_action,
     )
+
+
+def reference_scramble_graph(g, rng, max_slides=6, max_expansions=4):
+    """The scrambled graph and every graph on the way to it, oldest first."""
+    trace = [g]
+    if len(g.vertex_orbits()) == 1 and len(edge_orbit_refs(g)) >= 2:
+        for _ in range(rng.randrange(0, max_slides + 1)):
+            s_ref, t_ref = rng.sample(edge_orbit_refs(g), 2)
+            hs = s_ref.half_edge if rng.random() < 0.5 else g.involution[s_ref.half_edge]
+            t_family = t_ref.half_edge if rng.random() < 0.5 else g.involution[t_ref.half_edge]
+            ht = _halfedge_of_family_at(g, t_family, g.attach[g.involution[hs]])
+            g = reference_slide(g, EdgeOrbitRef(hs), EdgeOrbitRef(ht))
+            trace.append(g)
+    for _ in range(rng.randrange(0, max_expansions + 1)):
+        vertex = rng.randrange(g.n_vertices)
+        moved = [h for h in g.half_edges_at(vertex) if rng.random() < 0.5]
+        g, _ = expand_orbit(g, vertex, moved)
+        trace.append(g)
+    return g, trace
+
+
+def reference_random_valid_graph(p, max_rank, rng, max_slides=6, max_expansions=4):
+    """``random_valid_graph`` on the reference scramble, with its trace."""
+    k = rng.randrange(0, (max_rank - 1) // p + 1)
+    return reference_scramble_graph(canonical_graph(p, k), rng, max_slides, max_expansions)
 
 
 def reference_apply_move(g, move):
@@ -326,10 +354,27 @@ def expand_randomly(g, rng, times):
 )
 def test_normalize_matches_reference_on_scrambled_graphs(p, seed, loops, slides, expansions):
     rng = Random(seed)
-    g, _ = scramble_graph(canonical_graph(p, loops), rng, max_slides=slides, max_expansions=expansions)
+    g = scramble_graph(canonical_graph(p, loops), rng, max_slides=slides, max_expansions=expansions)
     form, moves = assert_normalize_agrees(g)
     assert (form.p, form.loops_per_vertex) == (p, loops)
     assert is_canonical_form(replay(g, moves))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    k=st.integers(0, 20),
+    seed=st.integers(0, 2**32),
+    slides=st.integers(0, 12),
+    expansions=st.integers(0, 6),
+)
+def test_scramble_matches_reference(p, k, seed, slides, expansions):
+    """The same graph from the same random draws, in the same order."""
+    rng, twin = Random(seed), Random(seed)
+    g = scramble_graph(canonical_graph(p, k), rng, max_slides=slides, max_expansions=expansions)
+    expected, _ = reference_scramble_graph(canonical_graph(p, k), twin, slides, expansions)
+    assert g == expected
+    assert rng.getstate() == twin.getstate()
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,6 +446,32 @@ def test_normalize_matches_reference_on_invalid_graphs(p, seed, swaps):
     )
     outcome = assert_normalize_agrees(g)
     assert validate(g).ok or outcome[0] is InvalidGraph
+
+
+def partners_off_the_action_graph():
+    """p = 3, the action +1 on the vertices and on each block of three
+    half-edges, and an involution that does not commute with it: half-edges 0
+    and 3 lie in different edge orbits, yet their partners 6 and 7 share an
+    action cycle.  Sliding 0 across 3 rewrites that whole cycle."""
+    return EquivariantGraph(
+        p=3,
+        n_vertices=3,
+        involution=(6, 9, 10, 7, 11, 8, 0, 3, 5, 1, 2, 4),
+        attach=tuple(h % 3 for h in range(12)),
+        vertex_action=(1, 2, 0),
+        half_edge_action=(1, 2, 0, 4, 5, 3, 7, 8, 6, 10, 11, 9),
+    )
+
+
+def test_slide_reads_every_end_before_writing_any():
+    """On a valid graph the slid half-edges and the ends they take lie in two
+    edge orbits; here they share a cycle, and each new end must still be the
+    one before the move, as in the reference."""
+    g = partners_off_the_action_graph()
+    assert not validate(g).ok
+    args = (g, EdgeOrbitRef(0), EdgeOrbitRef(3))
+    assert slide(*args) == reference_slide(*args)
+    assert slide(*args).attach[6:9] == (1, 2, 0)
 
 
 @settings(max_examples=150, deadline=None)

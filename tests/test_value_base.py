@@ -52,7 +52,7 @@ def _walk(obj, out: dict) -> None:
 
 def _collect_samples() -> dict:
     reg = series.default_registry()
-    scrambled, _ = graphs.scramble_graph(graphs.canonical_graph(3, 2), Random(7))
+    scrambled = graphs.scramble_graph(graphs.canonical_graph(3, 2), Random(7))
     form, moves = graphs.normalize(scrambled)
     edge_group = modp.stabiliser_group(modp.StabiliserKind.EDGE, 5)
     class_list = classes.order_p_classes(5, 8)
