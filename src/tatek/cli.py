@@ -18,13 +18,14 @@ Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from . import __version__
+from ._value import Value
 from .assemble import (
     EXAMPLE_FAMILIES,
     Unknown,
@@ -429,7 +430,114 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_SELFTEST_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Option(Value):
+    """One option of a subcommand.  ``kind`` is ``int`` (the value goes through
+    ``int()``), ``str``, or ``bool`` for a flag that stores True."""
+
+    name: str
+    dest: str
+    kind: type = str
+    choices: tuple | None = None
+    required: bool = False
+    default: object = None
+    help: str | None = None
+
+
+_COMMON_OPTIONS = (
+    Option(
+        "--format", "format", choices=("text", "records"), default="text",
+        help="output rendering (default: text)",
+    ),
+    Option("--no-cite", "no_cite", bool, default=False, help="suppress citation output"),
+)
+_P_AND_N = (Option("--p", "p", int, required=True), Option("--n", "n", int, required=True))
+
+# Every subcommand once, in the order of the help: its help line and its
+# options, then the common ones.  Both parsers are built from this table; the
+# handler of ``name`` is ``cmd_<name>``, read from the module when an argv is
+# parsed.
+COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
+    "orbits": (
+        "stabiliser orbit counts on nonzero (Z/p)^2",
+        (
+            Option(
+                "--p", "p", int, required=True,
+                help=f"prime modulus, at most {MAX_ORBIT_PRIME} (the explicit partition "
+                "takes p^2 bytes and time)",
+            ),
+            Option(
+                "--kind", "kind", choices=tuple(sorted(_KIND_BY_NAME)), help="one stabiliser only"
+            ),
+            Option("--list", "list", bool, default=False, help="list fixed points and orbits"),
+        ),
+    ),
+    "classes": ("order-p conjugacy classes of Out(F_n)", _P_AND_N),
+    "tate": ("Farrell-Tate K-theory dimensions of Out(F_n)", _P_AND_N),
+    "rational": ("rationalised p-adic K-theory of B Out(F_n)", _P_AND_N),
+    "table": (
+        "emit table 4 (Farrell-Tate) or 5 (rationalised)",
+        (Option("--which", "which", int, choices=(4, 5), required=True),),
+    ),
+    "normalize": (
+        "normalize an equivariant graph",
+        (
+            Option("--input", "input", help="graph JSON file"),
+            Option("--demo", "demo", help="built-in graph name"),
+        ),
+    ),
+    "example": (
+        "worked example families",
+        (
+            Option("--name", "name", choices=EXAMPLE_FAMILIES, required=True),
+            Option("--p", "p", int),
+            Option("--class-number", "class_number", int),
+        ),
+    ),
+    "selftest": ("run the invariant sweeps", (Option("--max-p", "max_p", int, default=31),)),
+}
+
+
+def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse returns for a command line in canonical form: a command,
+    then exact option names, each at most once, each value not starting with
+    "-", valid for its kind and choices, and every required option given.
+    None for any other command line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = argv[0]
+    options = COMMANDS[command][1] + _COMMON_OPTIONS
+    by_name = {option.name: option for option in options}
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = by_name.get(token)
+        if option is None or option.dest in given:
+            return None
+        if option.kind is bool:
+            given[option.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[option.dest] = value
+    if any(option.required and option.dest not in given for option in options):
+        return None
+    values = {option.dest: given.get(option.dest, option.default) for option in options}
+    return SimpleNamespace(command=command, **values, func=globals()[f"cmd_{command}"])
+
+
+def _argparse_parser():
+    """The full argparse parser of the same table, for help, version and every
+    command line that is not in canonical form."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tatek",
         description=(
@@ -439,69 +547,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tatek {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument(
-            "--format", choices=("text", "records"), default="text",
-            help="output rendering (default: text)",
-        )
-        sp.add_argument(
-            "--no-cite", action="store_true", help="suppress citation output"
-        )
-
-    sp = sub.add_parser("orbits", help="stabiliser orbit counts on nonzero (Z/p)^2")
-    sp.add_argument(
-        "--p", type=int, required=True,
-        help=f"prime modulus, at most {MAX_ORBIT_PRIME} (the explicit partition "
-        "takes p^2 bytes and time)",
-    )
-    sp.add_argument("--kind", choices=sorted(_KIND_BY_NAME), help="one stabiliser only")
-    sp.add_argument("--list", action="store_true", help="list fixed points and orbits")
-    common(sp)
-    sp.set_defaults(func=cmd_orbits)
-
-    sp = sub.add_parser("classes", help="order-p conjugacy classes of Out(F_n)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_classes)
-
-    sp = sub.add_parser("tate", help="Farrell-Tate K-theory dimensions of Out(F_n)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_tate)
-
-    sp = sub.add_parser("rational", help="rationalised p-adic K-theory of B Out(F_n)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_rational)
-
-    sp = sub.add_parser("table", help="emit table 4 (Farrell-Tate) or 5 (rationalised)")
-    sp.add_argument("--which", type=int, choices=(4, 5), required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_table)
-
-    sp = sub.add_parser("normalize", help="normalize an equivariant graph")
-    sp.add_argument("--input", help="graph JSON file")
-    sp.add_argument("--demo", help="built-in graph name")
-    common(sp)
-    sp.set_defaults(func=cmd_normalize)
-
-    sp = sub.add_parser("example", help="worked example families")
-    sp.add_argument("--name", choices=EXAMPLE_FAMILIES, required=True)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--class-number", type=int, dest="class_number")
-    common(sp)
-    sp.set_defaults(func=cmd_example)
-
-    sp = sub.add_parser("selftest", help="run the invariant sweeps")
-    sp.add_argument("--max-p", type=int, default=31, dest="max_p")
-    common(sp)
-    sp.set_defaults(func=cmd_selftest)
-
+    for command, (help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for option in options + _COMMON_OPTIONS:
+            if option.kind is bool:
+                kwargs = dict(action="store_true")
+            else:
+                kwargs = dict(type=option.kind, choices=option.choices, required=option.required)
+            sp.add_argument(
+                option.name, dest=option.dest, default=option.default, help=option.help, **kwargs
+            )
+        sp.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
+
+
+class Parser:
+    """The command-line parser.  A command line in canonical form is parsed
+    from ``COMMANDS`` directly; any other (help, ``--version``, an abbreviated
+    option, ``--opt=value``, a repeated option, a value starting with "-",
+    every usage error) goes to argparse, which is imported only then."""
+
+    def parse_args(self, argv: list[str] | None = None):
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _parse_canonical(argv)
+        return _argparse_parser().parse_args(argv) if args is None else args
+
+
+def build_parser() -> Parser:
+    """A new parser on each call: the benchmark's tracer wraps the
+    ``parse_args`` of the parser it returns."""
+    return Parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -82,11 +82,24 @@ class GraphTooLarge(ValueError):
     file more than ``MAX_GRAPH_FILE_CHARS`` characters."""
 
 
+# The most characters of an offending graph-file value that an error message
+# echoes: one such value may be most of a 32 MiB file.
+MAX_SHOWN_CHARS = 60
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut to ``MAX_SHOWN_CHARS`` characters with an ellipsis."""
+    text = repr(value)
+    if len(text) <= MAX_SHOWN_CHARS:
+        return text
+    return text[: MAX_SHOWN_CHARS - 3] + "..."
+
+
 def _check_ints(values: tuple, name: str) -> tuple[int, ...]:
     """Refuse floats, booleans, strings: ``int(x)`` would silently truncate them."""
     if not {int}.issuperset(map(type, values)):
         bad = next(x for x in values if type(x) is not int)
-        raise GraphStructureError(f"{name} entry {bad!r} is not an integer")
+        raise GraphStructureError(f"{name} entry {_shown(bad)} is not an integer")
     return values
 
 
@@ -144,10 +157,10 @@ class EquivariantGraph(Value):
 
     def __post_init__(self) -> None:
         if type(self.p) is not int:
-            raise GraphStructureError(f"p must be an integer, got {self.p!r}")
+            raise GraphStructureError(f"p must be an integer, got {_shown(self.p)}")
         if type(self.n_vertices) is not int:
             raise GraphStructureError(
-                f"vertex count must be an integer, got {self.n_vertices!r}"
+                f"vertex count must be an integer, got {_shown(self.n_vertices)}"
             )
         check_prime(self.p)
         if self.n_vertices < 1:
@@ -1021,7 +1034,7 @@ def from_json_obj(obj: dict) -> EquivariantGraph:
         for r in records:
             if not isinstance(r, dict):
                 raise GraphStructureError(
-                    f"half_edges entry {r!r} is not an object with id, partner and vertex"
+                    f"half_edges entry {_shown(r)} is not an object with id, partner and vertex"
                 )
         _check_ints(tuple(r["id"] for r in records), "half_edge id")
         records = sorted(records, key=lambda r: r["id"])

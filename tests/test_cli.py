@@ -270,6 +270,30 @@ def test_normalize_rejects_misshapen_graph_json(name, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _graph_objs_with_a_huge_value():
+    """Graph JSON objects whose one wrong value is a list of 1,000,000 zeros."""
+    base = to_json_obj(canonical_graph(3, 1))
+    huge = [0] * 1_000_000
+    values = list(base["vertex_action"])
+    values[1] = huge
+    return {
+        "half_edges_entry": dict(base, half_edges=[huge] + base["half_edges"][1:]),
+        "vertex_action_entry": dict(base, vertex_action=values),
+        "p": dict(base, p=huge),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_graph_objs_with_a_huge_value()))
+def test_graph_file_error_echoes_a_short_value(name, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(_graph_objs_with_a_huge_value()[name]), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: GraphStructureError: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "[0, 0, 0, " in err and "..." in err
+
+
 @pytest.mark.parametrize(
     "make, error",
     [
@@ -294,10 +318,14 @@ def test_import_loads_every_layer_but_not_dataclasses():
     # -c "import tatek.cli"`: both rely on `import tatek.cli` loading all eight
     # layers eagerly.  `dataclasses` (which loads `inspect`) cost about 25 ms
     # of that import before the value classes moved to tatek._value.
+    # `argparse` (which loads `gettext`, and `gettext` `locale`) is imported
+    # only for help and usage errors, not to parse a canonical command line.
     layers = ("records", "modp", "orbits", "graphs", "series", "classes", "assemble", "selftest")
+    unwanted = ("dataclasses", "inspect", "argparse", "gettext", "locale")
     code = (
         "import sys, tatek.cli; "
-        "print(' '.join(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))); "
+        "tatek.cli.build_parser().parse_args(['tate', '--p', '11', '--n', '12']); "
+        f"print(' '.join(sorted(m for m in sys.modules if m in {unwanted!r}))); "
         f"print(' '.join(m for m in {layers!r} if 'tatek.' + m not in sys.modules))"
     )
     result = subprocess.run(

@@ -7,6 +7,9 @@ record them again after an intended output change, run from the repository
 root::
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
+
+``--write NAME ...`` records only the named fixtures (file names without
+``.json``) and leaves every other fixture as it is.
 """
 
 import contextlib
@@ -105,6 +108,19 @@ ERRORS = [
     ["orbits", "--p", "five"],
 ]
 
+# Command lines outside the canonical form that ``cli.Parser`` parses itself,
+# so argparse parses them: help, the version, an abbreviated option,
+# ``--opt=value``, a repeated option and a value that starts with "-".
+FALLBACK = [
+    ["--help"],
+    ["orbits", "--help"],
+    ["--version"],
+    ["tate", "--p", "5", "--n", "7", "--form", "records"],
+    ["tate", "--p=5", "--n", "7"],
+    ["orbits", "--p", "5", "--p", "7"],
+    ["normalize", "--input", "-x"],
+]
+
 INVOCATIONS = (
     [
         [*args, "--format", fmt, *cite]
@@ -114,6 +130,7 @@ INVOCATIONS = (
     ]
     + [[*args, "--format", fmt] for args in BOTH_FORMATS for fmt in ("text", "records")]
     + ERRORS
+    + FALLBACK
 )
 
 
@@ -153,11 +170,17 @@ def test_cli_output_matches_golden(argv):
     assert run_main(argv) == expected
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
+    names = sys.argv[2:]
+    unknown = set(names) - {fixture_name(argv) for argv in INVOCATIONS}
+    if unknown:
+        sys.exit(f"no invocation is named {', '.join(sorted(unknown))}")
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for stale in GOLDEN_DIR.glob("*.json"):
-        stale.unlink()
-    for argv in INVOCATIONS:
+    if not names:
+        for stale in GOLDEN_DIR.glob("*.json"):
+            stale.unlink()
+    chosen = [argv for argv in INVOCATIONS if not names or fixture_name(argv) in names]
+    for argv in chosen:
         text = json.dumps(run_main(argv), indent=1) + "\n"
         (GOLDEN_DIR / f"{fixture_name(argv)}.json").write_text(text, encoding="utf-8")
-    print(f"wrote {len(INVOCATIONS)} fixtures to {GOLDEN_DIR}")
+    print(f"wrote {len(chosen)} fixtures to {GOLDEN_DIR}")

@@ -1,7 +1,7 @@
 """Named mutants: each replaces one function of the pipeline, in every
-``tatek`` module that holds it by name, or one method of the working graph,
-and the oracles paired with it must then fail.  A mutant that nothing catches
-marks an oracle to strengthen."""
+``tatek`` module that holds it by name, or one method of the working graph or
+function of the command-line parser, and the oracles paired with it must then
+fail.  A mutant that nothing catches marks an oracle to strengthen."""
 
 import inspect
 import json
@@ -11,8 +11,11 @@ from random import Random
 
 import pytest
 
+import test_cli_parser
 import test_golden_moves as golden_moves
-from tatek import series
+from tatek import cli, orbits, series
+from tatek.modp import StabiliserKind
+from tatek.selftest import run_selftest
 from tatek.graphs import EdgeOrbitRef, _WorkingGraph, canonical_graph, dumps, scramble_graph, slide
 from test_golden_cli import GOLDEN_DIR, fixture_name, run_main
 from test_normalize_reference import (
@@ -72,14 +75,17 @@ def test_plain_square_mutant_fails_the_flip_square_fixtures(monkeypatch, args, f
     assert contribution_line(fmt, label, mutant) in mutated["stdout"].splitlines()
 
 
-def mutated_method(cls, name: str, old: str, new: str):
-    """``cls.name`` compiled again from its source with ``old`` replaced by
-    ``new``, in its module's namespace."""
-    method = getattr(cls, name)
+def mutated_method(owner, name: str, *replacements: tuple[str, str]):
+    """``owner.name``, a method of a class or a function of a module, compiled
+    again from its source with each (old, new) of ``replacements`` applied, in
+    its module's namespace."""
+    method = getattr(owner, name)
     source = textwrap.dedent(inspect.getsource(method))
-    assert source.count(old) == 1, f"{cls.__name__}.{name} no longer holds the mutated lines"
+    for old, new in replacements:
+        assert source.count(old) == 1, f"{owner.__name__}.{name} no longer holds {old!r}"
+        source = source.replace(old, new)
     namespace = dict(vars(inspect.getmodule(method)))
-    exec(source.replace(old, new), namespace)
+    exec(source, namespace)
     return namespace[name]
 
 
@@ -89,7 +95,8 @@ def mutated_method(cls, name: str, old: str, new: str):
 # graph whose involution does not commute with the action can.
 SLIDE_WRITING_AS_IT_READS = (
     "slide",
-    """\
+    (
+        """\
     ends = []
     for _ in range(self.p):
         ends.append((src, attach[dst]))
@@ -104,17 +111,20 @@ SLIDE_WRITING_AS_IT_READS = (
         src = action[src]
         dst = action[dst]
 """,
+    ),
 )
 
 # A collapse that merges w into u p times instead of each w_k into u_k.
 COLLAPSE_WITHOUT_STEPPING = (
     "collapse",
-    """\
+    (
+        """\
         merged[w] = u
         u = vertex_action[u]
         w = vertex_action[w]
 """,
-    "        merged[w] = u\n",
+        "        merged[w] = u\n",
+    ),
 )
 
 
@@ -156,10 +166,65 @@ def check_scrambled_demo_fixtures(tmp_path):
     ids=["slide_writing_as_it_reads", "collapse_without_stepping"],
 )
 def test_working_graph_mutants_fail_their_oracles(mutation, checks, monkeypatch, tmp_path):
-    name, old, new = mutation
+    name, replacement = mutation
     for check in checks:
         check(tmp_path)
-    monkeypatch.setattr(_WorkingGraph, name, mutated_method(_WorkingGraph, name, old, new))
+    monkeypatch.setattr(_WorkingGraph, name, mutated_method(_WorkingGraph, name, replacement))
     for check in checks:
         with pytest.raises(AssertionError):
             check(tmp_path)
+
+
+# Canonical parses that argparse disagrees with, each with the command line
+# of the property's explicit examples that shows it: one that takes a repeated
+# option and keeps its first value, where argparse keeps the last, and one that
+# takes a value starting with "-", which argparse reads as an option.
+PARSER_MUTANTS = {
+    "keeping_the_first_of_a_repeat": (
+        ["orbits", "--p", "5", "--p", "7"],
+        ("option is None or option.dest in given", "option is None"),
+        ("given[option.dest] = value", "given.setdefault(option.dest, value)"),
+    ),
+    "taking_a_dashed_value": (
+        ["normalize", "--input", "-x"],
+        ('value is None or value.startswith("-")', "value is None"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_MUTANTS))
+def test_parser_mutants_fail_the_argparse_property(name, monkeypatch):
+    argv, *replacements = PARSER_MUTANTS[name]
+    test_cli_parser.assert_agrees_with_argparse(argv)
+    mutant = mutated_method(cli, "_parse_canonical", *replacements)
+    monkeypatch.setattr(cli, "_parse_canonical", mutant)
+    with pytest.raises(AssertionError):
+        test_cli_parser.assert_agrees_with_argparse(argv)
+    with pytest.raises(AssertionError):
+        test_cli_parser.test_canonical_parse_declines_or_matches_argparse()
+
+
+def check_orbit_reports():
+    for p in (5, 7, 11):
+        for kind in StabiliserKind:
+            assert orbits.orbit_report(kind, p).match
+
+
+def check_selftest():
+    assert run_selftest(max_p=13)[1]
+
+
+def check_orbit_fixtures():
+    for path in sorted(GOLDEN_DIR.glob("orbits_p_*.json")):
+        expected = json.loads(path.read_text(encoding="utf-8"))
+        assert run_main(expected["argv"]) == expected
+
+
+@pytest.mark.parametrize("check", [check_orbit_reports, check_selftest, check_orbit_fixtures])
+def test_closed_form_plus_one_fails_the_orbit_oracles(check, monkeypatch):
+    check()
+    real = orbits.closed_form_orbits
+    patched = patch_everywhere(monkeypatch, real, lambda kind, p: real(kind, p) + 1)
+    assert patched == ["tatek.orbits"]
+    with pytest.raises(AssertionError):
+        check()

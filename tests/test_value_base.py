@@ -19,7 +19,7 @@ from random import Random
 import pytest
 
 import tatek
-from tatek import assemble, classes, graphs, modp, orbits, series
+from tatek import assemble, classes, cli, graphs, modp, orbits, series
 from tatek._value import FrozenInstanceError, Value
 
 for _info in pkgutil.iter_modules(tatek.__path__):
@@ -80,6 +80,7 @@ def _collect_samples() -> dict:
         series.FreeAbelian(3),
         series.GroupExpr(),
         graphs.Move("collapse", 4),
+        [options for _, options in cli.COMMANDS.values()],
     ]
     samples: dict = {}
     _walk(roots, samples)
