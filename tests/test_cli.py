@@ -318,8 +318,9 @@ def test_import_loads_every_layer_but_not_dataclasses():
     # -c "import tatek.cli"`: both rely on `import tatek.cli` loading all eight
     # layers eagerly.  `dataclasses` (which loads `inspect`) cost about 25 ms
     # of that import before the value classes moved to tatek._value.
-    # `argparse` (which loads `gettext`, and `gettext` `locale`) is imported
-    # only for help and usage errors, not to parse a canonical command line.
+    # `argparse` (which loads `gettext`; building its parser loads `locale`)
+    # is imported only for help and usage errors, not to parse a canonical
+    # command line.
     layers = ("records", "modp", "orbits", "graphs", "series", "classes", "assemble", "selftest")
     unwanted = ("dataclasses", "inspect", "argparse", "gettext", "locale")
     code = (

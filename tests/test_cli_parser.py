@@ -22,22 +22,25 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 OPTIONS = {command: options + cli._COMMON_OPTIONS for command, (_, options) in cli.COMMANDS.items()}
 
-# The tokens of the grammar the command lines are drawn from.
-HEADS = [*cli.COMMANDS, "frobnicate", "-h", "--help", "--version", "--"]
+# The tokens of the grammar the command lines are drawn from.  A value in
+# DASHED is never canonical; argparse takes "-5" and "-" as values and reads
+# the others as options.
+COMMAND_NAMES = list(cli.COMMANDS)
+HEADS = [*COMMAND_NAMES, "frobnicate", "-h", "--help", "--version", "--"]
 OPTION_TOKENS = sorted({option.name for options in OPTIONS.values() for option in options})
 OTHER_TOKENS = [
     *OPTION_TOKENS, "--fo", "--no", "--li", "--class", "--p=5", "--format=text",
     "-h", "--help", "--version", "--", "-p",
 ]
+DASHED = ["-5", "-", "-x", "--", "-h", "--demo"]
 VALUES = [
-    "0", "2", "5", "7", "11", "12", "31", "-5", " 7", "1_0", "five", "", "-", "-x", "--",
-    "-h", "--demo",
-    "4", "6", "text", "records", "xml", "edge", "theta", "cube", "sl3", "gl", "amalgam",
-    "canonical_p3_k2", "graph.json",
+    "0", "2", "5", "7", "11", "12", "31", " 7", "1_0", "five", "", "4", "6", "text", "records",
+    "xml", "edge", "theta", "cube", "sl3", "gl", "amalgam", "canonical_p3_k2", "graph.json",
 ]
 
 
 def good_values(option) -> list[str]:
+    """Values of ``option`` that a canonical command line may carry."""
     if option.choices:
         return [str(choice) for choice in option.choices]
     if option.kind is int:
@@ -50,15 +53,15 @@ def command_lines(draw):
     """A head token, then options of its command in any order with values,
     mostly canonical; then up to three changes: a stray token or a repeated
     option put anywhere, or a token dropped."""
-    head = draw(st.sampled_from(HEADS))
+    head = draw(st.sampled_from(COMMAND_NAMES) | st.sampled_from(HEADS))
     options = OPTIONS.get(head, ())
     chosen = [o for o in draw(st.permutations(options)) if o.required or draw(st.booleans())]
 
     def with_value(option) -> list[str]:
         if option.kind is bool:
             return [option.name]
-        odd = draw(st.integers(0, 2)) == 0
-        return [option.name, draw(st.sampled_from(VALUES if odd else good_values(option)))]
+        pool = draw(st.sampled_from([good_values(option)] * 3 + [VALUES, DASHED]))
+        return [option.name, draw(st.sampled_from(pool))]
 
     argv = [head] + [token for option in chosen for token in with_value(option)]
     for _ in range(draw(st.integers(0, 3))):
@@ -68,9 +71,9 @@ def command_lines(draw):
                 del argv[draw(st.integers(1, len(argv) - 1))]
             continue
         if change == "repeat" and options:
-            tokens = with_value(draw(st.sampled_from(options)))
+            tokens = with_value(draw(st.sampled_from(chosen or options)))
         else:
-            tokens = [draw(st.sampled_from(OTHER_TOKENS + VALUES))]
+            tokens = [draw(st.sampled_from(OTHER_TOKENS + VALUES + DASHED))]
         at = draw(st.integers(1, len(argv)))
         argv[at:at] = tokens
     return argv

@@ -108,9 +108,9 @@ ERRORS = [
     ["orbits", "--p", "five"],
 ]
 
-# Command lines outside the canonical form that ``cli.Parser`` parses itself,
-# so argparse parses them: help, the version, an abbreviated option,
-# ``--opt=value``, a repeated option and a value that starts with "-".
+# Command lines that ``cli.Parser`` hands to argparse because they are not in
+# canonical form: help, the version, an abbreviated option, ``--opt=value``,
+# a repeated option and a value that starts with "-".
 FALLBACK = [
     ["--help"],
     ["orbits", "--help"],

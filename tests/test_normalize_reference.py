@@ -24,7 +24,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tatek.graphs import (
     EdgeOrbitRef,
@@ -352,10 +352,13 @@ def expand_randomly(g, rng, times):
     slides=st.integers(0, 12),
     expansions=st.integers(0, 6),
 )
+# A scrambled graph on which the reference loops.
+@example(p=13, seed=135, loops=1, slides=5, expansions=0)
 def test_normalize_matches_reference_on_scrambled_graphs(p, seed, loops, slides, expansions):
     rng = Random(seed)
     g = scramble_graph(canonical_graph(p, loops), rng, max_slides=slides, max_expansions=expansions)
-    form, moves = assert_normalize_agrees(g)
+    outcome = assert_normalize_agrees(g)
+    form, moves = normalize(g) if outcome == REFERENCE_LOOPS else outcome
     assert (form.p, form.loops_per_vertex) == (p, loops)
     assert is_canonical_form(replay(g, moves))
 
