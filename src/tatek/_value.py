@@ -37,6 +37,24 @@ _MISSING = object()
 _setattr = object.__setattr__
 
 
+# The most characters of an offending input value that an error message
+# echoes: one such value may be most of a 32 MiB graph file or of a registry
+# file.
+MAX_SHOWN_CHARS = 60
+
+
+def _cut(text: str) -> str:
+    """``text``, cut to ``MAX_SHOWN_CHARS`` characters with an ellipsis."""
+    if len(text) <= MAX_SHOWN_CHARS:
+        return text
+    return text[: MAX_SHOWN_CHARS - 3] + "..."
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut to ``MAX_SHOWN_CHARS`` characters."""
+    return _cut(repr(value))
+
+
 class FrozenInstanceError(AttributeError):
     """An attempt to assign to or delete an attribute of a :class:`Value`."""
 

@@ -30,7 +30,7 @@ from itertools import compress
 from random import Random
 from typing import Iterable, Sequence
 
-from ._value import Value
+from ._value import Value, _shown
 from .modp import check_prime
 
 
@@ -80,19 +80,6 @@ MAX_GRAPH_FILE_CHARS = 32 * 2**20
 class GraphTooLarge(ValueError):
     """A graph has more than ``MAX_HALF_EDGES`` half-edges or vertices, or its
     file more than ``MAX_GRAPH_FILE_CHARS`` characters."""
-
-
-# The most characters of an offending graph-file value that an error message
-# echoes: one such value may be most of a 32 MiB file.
-MAX_SHOWN_CHARS = 60
-
-
-def _shown(value) -> str:
-    """``repr(value)``, cut to ``MAX_SHOWN_CHARS`` characters with an ellipsis."""
-    text = repr(value)
-    if len(text) <= MAX_SHOWN_CHARS:
-        return text
-    return text[: MAX_SHOWN_CHARS - 3] + "..."
 
 
 def _check_ints(values: tuple, name: str) -> tuple[int, ...]:

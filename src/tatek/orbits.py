@@ -5,9 +5,11 @@ over the group (the lemma that is not Burnside's), in O(|G|), and once by
 explicitly partitioning the p^2 - 1 nonzero vectors.  The partition compares
 every vector with its images under each group element and keeps a p^2-byte
 mask over flat indices v = l*p + m whose zeros are the orbit minima; it is set
-a row at a time by slice assignment, O(p * |G|) slices for the stabiliser
-groups, whose entries all lie in {0, +-1}.  Primes above ``MAX_ORBIT_PRIME``
-are refused before anything is allocated.
+a row at a time by slice assignment.  The stabiliser groups hold -I and have
+all their entries in {0, +-1}, so only the rows below p/2 are visited, once
+per distinct first row (a, +-1) and once per other non-identity element: 7
+passes over (p + 1)/2 rows for the theta group of order 12.
+Primes above ``MAX_ORBIT_PRIME`` are refused before anything is allocated.
 The closed forms are claims that the tests check against both computations,
 never the implementation itself.  All arithmetic is exact integer arithmetic.
 """
@@ -122,54 +124,86 @@ def _minimum_mask(g: MatrixGroup) -> bytes:
     (b, or d where b = 0 and a*l = l) is 0 or +-1; those windows are set by
     slice assignment.  Any other row is tested one vector at a time, so the
     map is exact for every group; the entries of the three stabiliser groups
-    all lie in {0, +-1}, so for them that loop never runs.  O(p |G|) slice
-    assignments on p^2 bytes.
+    all lie in {0, +-1}, so for them that loop never runs.
+
+    Three facts of the group cut the work.  When -I is in it and p > 2, -I
+    maps row l to row p - l, so rows above p/2 are all ones and set in one
+    slice; only rows below p/2 are visited.  Each element's case is chosen
+    once, the identity is skipped, and an element with b = 0 and a != 1 needs
+    the second coordinate on row 0 only.  The window of b = +-1 depends on the
+    first row (a, b) alone, so it is set once per distinct first row and only
+    the tie byte is tested for each (c, d).  So the visited rows are walked
+    once per distinct first row (a, +-1) and once per other non-identity
+    element, with at most two slices a row: for the edge, rose and theta
+    groups 3, 5 and 7 passes over (p + 1)/2 rows, where each of their 4, 8
+    and 12 elements walked all p rows before.  O(p * |G|) slices on p^2 bytes.
 
     The last mask is kept: ``orbits --list`` counts a group's orbits through
     :func:`orbit_report` and then lists them through :func:`iter_orbits`,
     and so builds one mask per kind.
     """
     p = check_orbit_prime(g.p)
-    mask = bytearray(p * p)
-    ones = memoryview(b"\x01" * p)
     minus_one = p - 1
-    for a, b, c, d in (e.key() for e in g.elements):
-        for l in range(p):
-            row = l * p
-            if b == 1 or b == minus_one:
-                # The first coordinate a*l +- m is below l on a window of l
-                # cyclically consecutive m, and equals l at one m, the tie.
-                if b == 1:
-                    start, tie = -a * l % p, (1 - a) * l % p
-                else:
-                    start, tie = ((a - 1) * l + 1) % p, (a - 1) * l % p
-                end = start + l
-                if end <= p:
-                    mask[row + start : row + end] = ones[:l]
-                else:
-                    mask[row + start : row + p] = ones[: p - start]
-                    mask[row : row + end - p] = ones[: end - p]
-                if (c * l + d * tie) % p < tie:
-                    mask[row + tie] = 1
-            elif b == 0 and a * l % p != l:
-                # The first coordinate a*l is the same along the row.
+    keys = [e.key() for e in g.elements]
+    rows = p
+    if p > 2 and (minus_one, 0, 0, minus_one) in keys:
+        rows = (p + 1) // 2
+    mask = bytearray(rows * p)
+    mask += b"\x01" * ((p - rows) * p)
+    ones = memoryview(b"\x01" * p)
+    windows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, b, c, d in keys:
+        if b == 1 or b == minus_one:
+            windows.setdefault((a, b), []).append((c, d))
+            continue
+        if b == 0 and a != 1:
+            # The first coordinate a*l is the same along the row, and not l
+            # for l >= 1: the row is all ones or untouched.
+            for l in range(1, rows):
                 if a * l % p < l:
-                    mask[row : row + p] = ones
-            elif b == 0 and d == 1:
-                # The second coordinate t + m, t = c*l, is below m once it wraps.
+                    mask[l * p : l * p + p] = ones
+            second = range(1)
+        elif b == 0 and c == 0 and d == 1:
+            continue
+        else:
+            second = range(rows)
+        if b == 0 and d == 1:
+            # The second coordinate t + m, t = c*l, is below m once it wraps.
+            for l in second:
                 t = c * l % p
-                mask[row + p - t : row + p] = ones[:t]
-            elif b == 0 and d == minus_one:
-                # t - m (mod p) is below m for m in (t/2, t] and in ((t + p)/2, p).
-                t = c * l % p
+                mask[l * p + p - t : l * p + p] = ones[:t]
+        elif b == 0 and d == minus_one:
+            # t - m (mod p) is below m for m in (t/2, t] and in ((t + p)/2, p).
+            for l in second:
+                row, t = l * p, c * l % p
                 half, wrap = t // 2 + 1, (t + p) // 2 + 1
                 mask[row + half : row + t + 1] = ones[: t + 1 - half]
                 mask[row + wrap : row + p] = ones[: p - wrap]
-            else:
+        else:
+            for l in second:
+                row = l * p
                 for m in range(p):
                     x = (a * l + b * m) % p
                     if x < l or (x == l and (c * l + d * m) % p < m):
                         mask[row + m] = 1
+    for (a, b), ties in windows.items():
+        # The first coordinate a*l +- m is below l on a window of l cyclically
+        # consecutive m, and equals l at one m, the tie; row 0 has neither.
+        for l in range(1, rows):
+            row = l * p
+            if b == 1:
+                start, tie = -a * l % p, (1 - a) * l % p
+            else:
+                start, tie = ((a - 1) * l + 1) % p, (a - 1) * l % p
+            end = start + l
+            if end <= p:
+                mask[row + start : row + end] = ones[:l]
+            else:
+                mask[row + start : row + p] = ones[: p - start]
+                mask[row : row + end - p] = ones[: end - p]
+            for c, d in ties:
+                if (c * l + d * tie) % p < tie:
+                    mask[row + tie] = 1
     mask[0] = 1
     return bytes(mask)
 

@@ -21,8 +21,13 @@ def encode_value(value: str) -> str:
     return json.dumps(value)
 
 
-def render_record(items: dict[str, str]) -> str:
-    return " ".join(f"{key}={encode_value(str(value))}" for key, value in items.items())
+def render_record(items: dict) -> str:
+    """One line of ``key=value`` pairs; an int is written as ``str`` writes it,
+    which is always bare, without the regex of :func:`encode_value`."""
+    return " ".join(
+        f"{key}={value}" if type(value) is int else f"{key}={encode_value(str(value))}"
+        for key, value in items.items()
+    )
 
 
 def parse_record(line: str) -> dict[str, str]:

@@ -17,7 +17,7 @@ import re
 from importlib import resources
 from typing import Iterator, Mapping
 
-from ._value import Value
+from ._value import Value, _cut, _shown
 
 REGISTRY_ENV_VAR = "TATEK_REGISTRY"
 _DEFAULT_REGISTRY_RESOURCE = "cohomology_registry.json"
@@ -280,34 +280,33 @@ class Registry:
             raise RegistryDataError("registry document: entries missing or not an object")
         version = raw.get("version", 0)
         if not isinstance(version, int):
-            raise RegistryDataError(f"registry document: version {version!r} is not an integer")
+            raise RegistryDataError(
+                f"registry document: version {_shown(version)} is not an integer"
+            )
         entries: dict[str, RegistryEntry] = {}
         for name, body in raw_entries.items():
+            where = f"registry entry {_cut(name)}"
             if not isinstance(body, dict):
-                raise RegistryDataError(f"registry entry {name}: not an object")
+                raise RegistryDataError(f"{where}: not an object")
             status = body.get("status")
             if status not in ("known", "unknown"):
-                raise RegistryDataError(f"registry entry {name}: bad status {status!r}")
+                raise RegistryDataError(f"{where}: bad status {_shown(status)}")
             citation = body.get("citation", "")
             if status == "known":
                 if not citation:
-                    raise RegistryDataError(f"registry entry {name}: missing citation")
+                    raise RegistryDataError(f"{where}: missing citation")
                 dims = body.get("dims")
                 if not isinstance(dims, dict):
-                    raise RegistryDataError(
-                        f"registry entry {name}: dims missing or not an object"
-                    )
+                    raise RegistryDataError(f"{where}: dims missing or not an object")
                 try:
                     series = PoincareSeries.from_dims({int(k): int(v) for k, v in dims.items()})
                 except (TypeError, ValueError) as exc:
-                    raise RegistryDataError(f"registry entry {name}: bad dims: {exc}") from exc
+                    raise RegistryDataError(f"{where}: bad dims: {_cut(str(exc))}") from exc
                 if series.dim(0) < 1:
-                    raise RegistryDataError(f"registry entry {name}: dims[0] must be >= 1")
+                    raise RegistryDataError(f"{where}: dims[0] must be >= 1")
             else:
                 if "dims" in body:
-                    raise RegistryDataError(
-                        f"registry entry {name}: unknown entries carry no dims"
-                    )
+                    raise RegistryDataError(f"{where}: unknown entries carry no dims")
                 series = None
             entries[name] = RegistryEntry(
                 name=name, status=status, series=series, citation=citation

@@ -432,6 +432,30 @@ def test_registry_data_errors(doc, argv, message, registry_override, capsys):
     assert err == f"error: RegistryDataError: {message}\n"
 
 
+def _registries_with_a_huge_value() -> dict[str, dict]:
+    """Registry documents each holding one bad value of several MB."""
+    zeros = [0] * 1_000_000
+    return {
+        "status": _with_entry("OutF2", {"status": zeros}),
+        "version": dict(_bundled_registry(), version=zeros),
+        "entry_name": _with_entry("X" * 1_000_000, ["known"]),
+        "dims": _with_entry(
+            "AutF4", {"status": "known", "citation": "x", "dims": {"4": "y" * 1_000_000}}
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_registries_with_a_huge_value()))
+def test_registry_file_error_echoes_a_short_value(name, registry_override, capsys):
+    doc = _registries_with_a_huge_value()[name]
+    registry_override.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "tate", "--p", "5", "--n", "6")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: RegistryDataError: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "..." in err
+
+
 def test_unreadable_registry_override(registry_override, capsys):
     code, out, err = _main_in_process(capsys, "tate", "--p", "5", "--n", "6")
     assert (code, out) == (3, "")

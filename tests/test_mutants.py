@@ -1,7 +1,8 @@
 """Named mutants: each replaces one function of the pipeline, in every
-``tatek`` module that holds it by name, or one method of the working graph or
-function of the command-line parser, and the oracles paired with it must then
-fail.  A mutant that nothing catches marks an oracle to strengthen."""
+``tatek`` module that holds it by name, or one method of the working graph, one
+function of the command-line parser or the orbit-minimum mask, and the oracles
+paired with it must then fail.  A mutant that nothing catches marks an oracle
+to strengthen."""
 
 import inspect
 import json
@@ -12,8 +13,9 @@ from random import Random
 import pytest
 
 import test_cli_parser
+import test_orbits
 import test_golden_moves as golden_moves
-from tatek import cli, orbits, series
+from tatek import cli, orbits, records, series
 from tatek.modp import StabiliserKind
 from tatek.selftest import run_selftest
 from tatek.graphs import EdgeOrbitRef, _WorkingGraph, canonical_graph, dumps, scramble_graph, slide
@@ -226,5 +228,101 @@ def test_closed_form_plus_one_fails_the_orbit_oracles(check, monkeypatch):
     real = orbits.closed_form_orbits
     patched = patch_everywhere(monkeypatch, real, lambda kind, p: real(kind, p) + 1)
     assert patched == ["tatek.orbits"]
+    with pytest.raises(AssertionError):
+        check()
+
+
+def check_mask_examples():
+    for group in test_orbits.MASK_EXAMPLES:
+        test_orbits.assert_mask_matches_references(group)
+
+
+def check_small_and_trivial_groups():
+    test_orbits.test_mask_partition_at_p_2_and_3_and_for_the_trivial_group()
+
+
+def check_orbit_reports_at_p_2():
+    for kind in StabiliserKind:
+        assert orbits.orbit_report(kind, 2).match
+
+
+# Mutants of the orbit-minimum mask, each a snippet of ``_minimum_mask``
+# replaced, with the checks that must fail: the bound that fills the rows
+# above p/2 when -I is in the group, fired without -I or at p = 2, where -I is
+# the identity; the whole-row test of an element with b = 0 and a != 1 stopped
+# at p/2 without -I; and the tie of a shared window tested for the first
+# (c, d) only.
+HALF_ROW_BOUND = "if p > 2 and (minus_one, 0, 0, minus_one) in keys:"
+MASK_MUTANTS = {
+    "half_rows_without_minus_identity": (
+        [(HALF_ROW_BOUND, "if p > 2:")],
+        [check_mask_examples, check_small_and_trivial_groups],
+    ),
+    "half_rows_at_p_2": (
+        [(HALF_ROW_BOUND, "if (minus_one, 0, 0, minus_one) in keys:")],
+        [
+            check_small_and_trivial_groups,
+            check_orbit_reports_at_p_2,
+            check_selftest,
+            check_orbit_fixtures,
+        ],
+    ),
+    "whole_rows_to_half_without_minus_identity": (
+        [
+            (
+                "for l in range(1, rows):\n                if a * l % p < l:",
+                "for l in range(1, (p + 1) // 2):\n                if a * l % p < l:",
+            )
+        ],
+        [check_mask_examples],
+    ),
+    "one_tie_per_window": (
+        [("for c, d in ties:", "for c, d in ties[:1]:")],
+        [check_mask_examples],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_MUTANTS))
+def test_mask_mutants_fail_their_oracles(name, monkeypatch):
+    replacements, checks = MASK_MUTANTS[name]
+    for check in checks:
+        check()
+    mutant = mutated_method(orbits, "_minimum_mask", *replacements)
+    # The orbit tests hold the mask by name; the package reaches it through
+    # the orbits module.
+    monkeypatch.setattr(orbits, "_minimum_mask", mutant)
+    monkeypatch.setattr(test_orbits, "_minimum_mask", mutant)
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check()
+
+
+def never_quoting(value: str) -> str:
+    """``encode_value`` writing every value bare."""
+    return value
+
+
+def check_records_round_trip():
+    items = [{"record": "cell", "note": "two words", "empty": ""}, {"text": 'a "quote"'}]
+    text = records.render_records(items)
+    try:
+        parsed = records.parse_records(text)
+    except ValueError:
+        parsed = None
+    assert parsed == items
+
+
+def check_quoted_fixtures():
+    for stem in ("table_which_4_format_records", "rational_p_5_n_7_format_records"):
+        expected = json.loads((GOLDEN_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+        assert '="' in expected["stdout"]
+        assert run_main(expected["argv"]) == expected
+
+
+@pytest.mark.parametrize("check", [check_records_round_trip, check_quoted_fixtures])
+def test_never_quoting_encoder_fails_the_records_oracles(check, monkeypatch):
+    check()
+    assert patch_everywhere(monkeypatch, records.encode_value, never_quoting) == ["tatek.records"]
     with pytest.raises(AssertionError):
         check()

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, example, find, given, settings, strategies as st
+from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from expected_tables import ROWS, expected_count, row_matrices
 from tatek.modp import (
@@ -250,35 +250,67 @@ def _order(key: tuple[int, int, int, int], p: int) -> int:
 
 
 @st.composite
-def small_order_matrices(draw, p: int) -> Mat2P:
-    """An invertible matrix with arbitrary entries, or one of the shape
-    (1 0; c d), raised to a power that leaves an order of at most 400."""
-    if draw(st.booleans()):
-        key = (1, 0, draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1)))
+def small_order_matrices(draw, p: int, shape: str) -> Mat2P:
+    """An invertible matrix of one shape: an element of a stabiliser group,
+    or one of the shape (+-1 0; c d) or with arbitrary entries, raised to a
+    power that leaves an order of at most 400."""
+    if shape == "stabiliser":
+        kind = draw(st.sampled_from(list(StabiliserKind)))
+        return draw(st.sampled_from(stabiliser_group(kind, p).elements))
+    if shape == "lower":
+        a = draw(st.sampled_from([1, p - 1]))
+        key = (a, 0, draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1)))
     else:
         key = tuple(draw(st.integers(0, p - 1)) for _ in range(4))
         assume((key[0] * key[3] - key[1] * key[2]) % p)
     n = _order(key, p)
-    q = draw(st.sampled_from([q for q in range(1, min(n, 400) + 1) if n % q == 0]))
+    # Largest first: Hypothesis leans to the first choice, which would
+    # otherwise be q = 1 and so the identity.
+    q = draw(st.sampled_from([q for q in range(min(n, 400), 0, -1) if n % q == 0]))
     return Mat2P(*key, p).power(n // q)
 
 
 @st.composite
 def small_groups(draw) -> MatrixGroup:
-    """Groups closed from one or two small-order generators at a prime <= 97."""
+    """Groups closed from one or two small-order generators at a prime <= 97,
+    each of a shape drawn for it or one shape for both, so that two stabiliser
+    elements often close a small group with shared first rows."""
     p = draw(st.sampled_from(PRIMES_TO_97))
-    generators = draw(st.lists(small_order_matrices(p), min_size=1, max_size=2))
+    shapes = st.sampled_from(["lower", "any", "stabiliser"])
+    if draw(st.booleans()):
+        shapes = st.just(draw(shapes))
+    matrices = shapes.flatmap(lambda shape: small_order_matrices(p, shape))
+    generators = draw(st.lists(matrices, min_size=1, max_size=2))
     try:
         return group_closure(generators, bound=400)
     except ClosureExceedsBound:
         assume(False)
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_groups())
-@example(group_closure([Mat2P(1, 0, 3, 2, 7)]))
-@example(group_closure([Mat2P(2, 3, 1, 1, 5)]))
-def test_mask_partition_matches_references_on_random_groups(group):
+# Groups of order 2 generated by (-1 0; c 1), which hold no -I: their element
+# with b = 0 and a = -1 sets the rows above p/2 whole, and no bound that -I
+# would justify may skip those rows.
+MINUS_ONE_ROW_GROUPS = (
+    group_closure([Mat2P(4, 0, 2, 1, 5)]),
+    group_closure([Mat2P(6, 0, 3, 1, 7)]),
+)
+
+# A group of order 16 with pairs of elements that share a first row (a, +-1),
+# where for some row only the second of a pair maps the tie below itself and
+# no other element does.  Random groups almost never show this: the mask's
+# other elements nearly always mark such a tie anyway.
+SHARED_WINDOW_GROUP = group_closure([Mat2P(3, 1, 3, 2, 5), Mat2P(4, 3, 2, 1, 5)])
+
+# The explicit examples of the random-group property, for the mutants too.
+MASK_EXAMPLES = (
+    group_closure([Mat2P(1, 0, 3, 2, 7)]),
+    group_closure([Mat2P(2, 3, 1, 1, 5)]),
+    *MINUS_ONE_ROW_GROUPS,
+    SHARED_WINDOW_GROUP,
+)
+
+
+def assert_mask_matches_references(group: MatrixGroup) -> None:
     starts = reference_orbit_starts(group)
     assert mask_starts(group) == starts
     orbits = enumerate_orbits(group)
@@ -286,11 +318,51 @@ def test_mask_partition_matches_references_on_random_groups(group):
     assert [orbit[0] for orbit in orbits] == [divmod(v, group.p) for v in starts]
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_groups())
+@example(MASK_EXAMPLES[0])
+@example(MASK_EXAMPLES[1])
+@example(MASK_EXAMPLES[2])
+@example(MASK_EXAMPLES[3])
+@example(MASK_EXAMPLES[4])
+def test_mask_partition_matches_references_on_random_groups(group):
+    assert_mask_matches_references(group)
+
+
+def has_minus_identity(g: MatrixGroup) -> bool:
+    return g.p > 2 and (g.p - 1, 0, 0, g.p - 1) in (m.key() for m in g.elements)
+
+
+def shares_a_window(g: MatrixGroup) -> bool:
+    """Two elements with one first row (a, +-1), so one window and two ties."""
+    rows = [(m.a, m.b) for m in g.elements if m.b in (1, g.p - 1)]
+    return len(set(rows)) < len(rows)
+
+
+def test_explicit_mask_examples_have_their_shapes():
+    for group in MINUS_ONE_ROW_GROUPS:
+        assert group.order == 2 and not has_minus_identity(group)
+        assert any(m.b == 0 and m.a == group.p - 1 for m in group.elements)
+    assert SHARED_WINDOW_GROUP.order == 16 and shares_a_window(SHARED_WINDOW_GROUP)
+
+
 def test_random_groups_reach_the_row_loop():
     # The mask tests a row one vector at a time for an entry b outside
-    # {0, +-1}, and for b = 0 with a = 1 and d outside {+-1}: the strategy
-    # draws both (find raises NoSuchExample otherwise).
-    settings_ = settings(max_examples=2000, database=None)
+    # {0, +-1}, and for b = 0 with a = 1 and d outside {+-1}; it fills the
+    # rows above p/2 at once only when -I is in the group and p > 2, and sets
+    # one window for the elements that share a first row (a, +-1).  The
+    # strategy draws each of these (find raises NoSuchExample otherwise).
+    # Only the draw is asked for, so the example found is not shrunk.
+    settings_ = settings(max_examples=2000, database=None, phases=[Phase.generate])
+    find(small_groups(), has_minus_identity, settings=settings_)
+    find(
+        small_groups(),
+        lambda g: g.p > 2
+        and not has_minus_identity(g)
+        and any(m.b == 0 and m.a == g.p - 1 for m in g.elements),
+        settings=settings_,
+    )
+    find(small_groups(), shares_a_window, settings=settings_)
     find(
         small_groups(),
         lambda g: any(m.b not in (0, 1, g.p - 1) for m in g.elements),
