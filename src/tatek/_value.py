@@ -12,9 +12,9 @@ annotations (after those of its bases) and class-level defaults.
 The contract kept, as the dataclass twins in ``tests/test_value_base.py`` check:
 
 - ``__init__`` takes the fields positionally or by keyword, fills defaults,
-  calls ``__post_init__`` if the class has one, and raises the ``TypeError``
-  CPython gives a function ``Name.__init__(self, field, ...)`` for a missing,
-  unexpected, repeated or surplus argument;
+  calls ``__post_init__`` if the class has one, and raises a ``TypeError``
+  naming the class and its fields for a missing, unexpected, repeated or
+  surplus argument;
 - ``==`` compares the tuples of field values, and only between instances of the
   same class; ``hash`` is the hash of that tuple;
 - ``repr`` is ``Name(field=value, ...)``;
@@ -24,9 +24,10 @@ The contract kept, as the dataclass twins in ``tests/test_value_base.py`` check:
   ``pickle`` work as on a dataclass; ``__match_args__`` lists the fields.
 
 Not kept, as nothing in the package needs them: ``dataclasses.fields``,
-``replace`` and ``asdict``, the generated ``__doc__`` and signature, the
-``...`` that a dataclass ``repr`` prints for a value that contains itself (no
-value here can), and the refusal of a mutable default.
+``replace`` and ``asdict``, the generated ``__doc__`` and signature, CPython's
+exact wording of an argument error, the ``...`` that a dataclass ``repr``
+prints for a value that contains itself (no value here can), and the refusal
+of a mutable default.
 """
 
 from __future__ import annotations
@@ -69,14 +70,6 @@ def _key_getter(names: tuple[str, ...]):
     return lambda obj: ()
 
 
-def _quoted(names: list[str]) -> str:
-    """Argument names as CPython lists them: 'a'; 'a' and 'b'; 'a', 'b', and 'c'."""
-    quoted = [f"'{n}'" for n in names]
-    if len(quoted) <= 2:
-        return " and ".join(quoted)
-    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
-
-
 def _bind(cls: type, args: tuple, kwargs: dict) -> dict:
     """Every field's value, in field order, from a call that does not give all
     fields by position or all by keyword in order."""
@@ -88,34 +81,8 @@ def _bind(cls: type, args: tuple, kwargs: dict) -> dict:
         or not given.keys().isdisjoint(kwargs)
         or values.keys() != cls._value_fields
     ):
-        raise _call_error(cls, args, kwargs)
+        raise TypeError(f"arguments do not fit {cls.__qualname__}({', '.join(names)})")
     return {name: values[name] for name in names}
-
-
-def _call_error(cls: type, args: tuple, kwargs: dict) -> TypeError:
-    """The error CPython gives a function ``Name.__init__(self, field, ...)``
-    for a call that does not fit it."""
-    names = cls.__match_args__
-    defaults = cls._value_defaults
-    where = f"{cls.__qualname__}.__init__()"
-    for key in kwargs:
-        if key not in names:
-            return TypeError(f"{where} got an unexpected keyword argument '{key}'")
-        if names.index(key) < len(args):
-            return TypeError(f"{where} got multiple values for argument '{key}'")
-    if len(args) > len(names):
-        most = len(names) + 1
-        if defaults:
-            takes = f"from {most - len(defaults)} to {most} positional arguments"
-        else:
-            takes = f"{most} positional argument" + ("s" if most != 1 else "")
-        return TypeError(f"{where} takes {takes} but {len(args) + 1} were given")
-    missing = [n for n in names[len(args):] if n not in kwargs and n not in defaults]
-    plural = "s" if len(missing) > 1 else ""
-    return TypeError(
-        f"{where} missing {len(missing)} required positional argument{plural}: "
-        + _quoted(missing)
-    )
 
 
 class Value:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from ._value import Value
+from ._value import Value, _cut
 from .classes import ConjClassDescriptor, OutOfRange, centraliser_of, order_p_classes
 from .modp import check_prime
 from .series import (
@@ -39,9 +39,6 @@ class Unknown(Value):
     """A dimension that cannot be computed; carries the blocking entry name."""
 
     blocker: str
-
-    def __str__(self) -> str:
-        return f"unknown({self.blocker})"
 
 
 Dim = int | Unknown
@@ -118,7 +115,7 @@ def tate_k(p: int, n: int) -> TateKResult:
             if series.max_degree > 2 * n:
                 raise RegistryDataError(
                     f"class {c.label}: the registry dims of {expr} reach degree "
-                    f"{series.max_degree}, above 2n = {2 * n}"
+                    f"{_cut(str(series.max_degree))}, above 2n = {2 * n}"
                 )
             even, odd = even_odd_totals(series)
             contributions.append(

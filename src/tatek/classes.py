@@ -99,7 +99,6 @@ class ClassList(Value):
     p: int
     n: int
     classes: tuple[ConjClassDescriptor, ...]
-    complete: bool
 
 
 def _rose(p: int, n: int) -> ConjClassDescriptor:
@@ -152,7 +151,7 @@ def order_p_classes(p: int, n: int) -> ClassList:
     if n < 2:
         raise OutOfRange(f"rank must be at least 2, got n={n}")
     if (p, n) == (2, 2):
-        return ClassList(p=p, n=n, classes=_amalgam_classes(), complete=True)
+        return ClassList(p, n, _amalgam_classes())
     if (p, n) == (5, 8):
         classes = (
             _rose(5, 8),
@@ -163,13 +162,13 @@ def order_p_classes(p: int, n: int) -> ClassList:
                 kind=DELTA, p=5, n=8, params=(), label="delta", citation=_DELTA_CITATION
             ),
         )
-        return ClassList(p=p, n=n, classes=classes, complete=True)
+        return ClassList(p, n, classes)
     if p == 2:
         raise OutOfRange(f"p = 2 is supported only at n = 2, got n={n}")
     if n < p - 1:
         # Out(F_n) -> GL_n(Z) has torsion-free kernel and GL_n(Z) has no
         # order-p elements below rank p-1, so there is nothing to list.
-        return ClassList(p=p, n=n, classes=(), complete=True)
+        return ClassList(p, n, ())
     if n > 2 * p - 3:
         raise OutOfRange(
             f"n={n} exceeds the periodic bound 2p-3={2 * p - 3} for p={p}"
@@ -186,7 +185,7 @@ def order_p_classes(p: int, n: int) -> ClassList:
                 kind=PHI, p=p, n=n, params=(), label="phi", citation=_PHI_CITATION
             )
         )
-    return ClassList(p=p, n=n, classes=tuple(classes), complete=True)
+    return ClassList(p, n, tuple(classes))
 
 
 def _aut_core(rank: int) -> GroupExpr:

@@ -233,11 +233,9 @@ def cmd_orbits(args) -> int:
 def cmd_classes(args) -> int:
     class_list = order_p_classes(args.p, args.n)
     p, n, count = class_list.p, class_list.n, len(class_list.classes)
-    record = dict(record="class_list", p=p, n=n, count=count, complete=_flag(class_list.complete))
-    completeness = "complete" if class_list.complete else "incomplete"
-    items: list[Item] = [
-        (record, f"order-{p} torsion classes of Out(F_{n}): {count} ({completeness})")
-    ]
+    # order_p_classes lists every class of a pair or raises OutOfRange.
+    record = dict(record="class_list", p=p, n=n, count=count, complete="true")
+    items: list[Item] = [(record, f"order-{p} torsion classes of Out(F_{n}): {count} (complete)")]
     for c in class_list.classes:
         centraliser = str(centraliser_of(c))
         record = dict(

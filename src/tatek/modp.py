@@ -141,14 +141,13 @@ def mat_mul(x: Mat2P, y: Mat2P) -> Mat2P:
 
 
 class MatrixGroup(Value):
-    """A finite matrix group given by generators and its full element list.
+    """A finite matrix group, given by its full element list.
 
     ``elements`` always contains the identity, is deduplicated, closed under
     products (hence under inverses, being finite), and is sorted by entry
     tuples so that iteration order is deterministic.
     """
 
-    generators: tuple[Mat2P, ...]
     elements: tuple[Mat2P, ...]
 
     @property
@@ -190,7 +189,7 @@ def group_closure(generators: Iterable[Mat2P], bound: int = 4096) -> MatrixGroup
                     nxt.append(prod)
         frontier = nxt
     elements = tuple(sorted(seen.values(), key=Mat2P.key))
-    return MatrixGroup(generators=gens, elements=elements)
+    return MatrixGroup(elements)
 
 
 class StabiliserKind(Enum):

@@ -70,7 +70,6 @@ def kernel_dimension_of_m_minus_identity(m: Mat2P) -> int:
 class FixedPointReport(Value):
     """Count (and optionally the list) of nonzero vectors fixed by a matrix."""
 
-    matrix: Mat2P
     count: int
     solutions: tuple[tuple[int, int], ...] | None = None
 
@@ -98,7 +97,7 @@ def fixed_points(m: Mat2P, list_solutions: bool = False) -> FixedPointReport:
                 f"kernel count {count} disagrees with enumeration "
                 f"{len(solutions)} for {m}"
             )
-    return FixedPointReport(matrix=m, count=count, solutions=solutions)
+    return FixedPointReport(count, solutions)
 
 
 def burnside_orbit_count(g: MatrixGroup) -> int:

@@ -82,9 +82,6 @@ class PoincareSeries(Value):
                 out[d1 + d2] = out.get(d1 + d2, 0) + v1 * v2
         return PoincareSeries.from_dims(out)
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"{d}: {v}" for d, v in self.pairs) + "}"
-
 
 def series_point() -> PoincareSeries:
     """The series of any finite group: rationally acyclic."""

@@ -270,6 +270,22 @@ def test_normalize_rejects_misshapen_graph_json(name, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"vertex_action": [0, 0]}, "vertex_action is not a permutation of 0..1"),
+        ({"vertices": 0}, "graph needs at least one vertex"),
+    ],
+    ids=["vertex_action_not_a_permutation", "no_vertices"],
+)
+def test_normalize_rejects_graph_of_bad_structure(change, message, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(dict(to_json_obj(canonical_graph(2, 1)), **change)), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: GraphStructureError: {message}\n"
+
+
 def _graph_objs_with_a_huge_value():
     """Graph JSON objects whose one wrong value is a list of 1,000,000 zeros."""
     base = to_json_obj(canonical_graph(3, 1))
@@ -454,6 +470,39 @@ def test_registry_file_error_echoes_a_short_value(name, registry_override, capsy
     assert err.startswith("error: RegistryDataError: ") and err.count("\n") == 1
     assert len(err.encode()) < 200
     assert "..." in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tate", "--p", "5", "--n", "6"], ["rational", "--p", "5", "--n", "6"], ["table", "--which", "4"]],
+    ids=" ".join,
+)
+def test_registry_series_of_huge_degree_echoes_a_short_degree(argv, registry_override, capsys):
+    doc = _with_entry("AutF2", {"status": "known", "citation": "x", "dims": {"9" * 4000: 1, "0": 1}})
+    registry_override.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: RegistryDataError: class theta(0,2): the registry dims of finite x finite x "
+        f"AutF2 reach degree {'9' * 57}..., above 2n = 12\n"
+    )
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ({"0": 0, "1": 1}, "dims[0] must be >= 1"),
+        ({"0": 1, "1": -1}, "bad dims: bad series entry 1: -1"),
+    ],
+    ids=["dim_0_zero", "negative_dim"],
+)
+def test_registry_dims_out_of_range(dims, message, registry_override, capsys):
+    doc = _with_entry("AutF2", {"status": "known", "citation": "x", "dims": dims})
+    registry_override.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "tate", "--p", "5", "--n", "6")
+    assert (code, out) == (3, "")
+    assert err == f"error: RegistryDataError: registry entry AutF2: {message}\n"
 
 
 def test_unreadable_registry_override(registry_override, capsys):

@@ -39,6 +39,17 @@ VALUES = [
 ]
 
 
+def takes_any_string(option) -> bool:
+    """Whether ``option`` takes a free string: the one kind of value that
+    the canonical parse can wrongly take when it starts with "-"."""
+    return option.kind is str and not option.choices
+
+
+# The commands with such an option (only ``normalize``): a third of the heads
+# are drawn from them, as only they can show a dashed value taken.
+STRING_COMMANDS = [c for c, options in OPTIONS.items() if any(map(takes_any_string, options))]
+
+
 def good_values(option) -> list[str]:
     """Values of ``option`` that a canonical command line may carry."""
     if option.choices:
@@ -51,31 +62,36 @@ def good_values(option) -> list[str]:
 @st.composite
 def command_lines(draw):
     """A head token, then options of its command in any order with values,
-    mostly canonical; then up to three changes: a stray token or a repeated
-    option put anywhere, or a token dropped."""
-    head = draw(st.sampled_from(COMMAND_NAMES) | st.sampled_from(HEADS))
+    mostly canonical, up to two of them given again between the others; then
+    up to two changes: a stray token put anywhere, or a token dropped.  About
+    a third of the command lines have no repeat and no change, so that a
+    canonical one often carries a dashed free string, and one with a repeated
+    option often is canonical but for the repeat."""
+    heads = [COMMAND_NAMES, HEADS, STRING_COMMANDS]
+    head = draw(st.one_of(*map(st.sampled_from, heads)))
     options = OPTIONS.get(head, ())
     chosen = [o for o in draw(st.permutations(options)) if o.required or draw(st.booleans())]
 
     def with_value(option) -> list[str]:
         if option.kind is bool:
             return [option.name]
-        pool = draw(st.sampled_from([good_values(option)] * 3 + [VALUES, DASHED]))
-        return [option.name, draw(st.sampled_from(pool))]
+        good = good_values(option)
+        pools = [good, DASHED, DASHED] if takes_any_string(option) else [good] * 6 + [VALUES, DASHED]
+        return [option.name, draw(st.sampled_from(draw(st.sampled_from(pools))))]
 
-    argv = [head] + [token for option in chosen for token in with_value(option)]
-    for _ in range(draw(st.integers(0, 3))):
-        change = draw(st.sampled_from(["stray", "repeat", "drop"]))
-        if change == "drop":
+    groups = [with_value(option) for option in chosen]
+    if options:
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            repeat = with_value(draw(st.sampled_from(chosen or options)))
+            groups.insert(draw(st.integers(0, len(groups))), repeat)
+    argv = [head] + [token for group in groups for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        if draw(st.booleans()):
             if len(argv) > 1:
                 del argv[draw(st.integers(1, len(argv) - 1))]
-            continue
-        if change == "repeat" and options:
-            tokens = with_value(draw(st.sampled_from(chosen or options)))
         else:
-            tokens = [draw(st.sampled_from(OTHER_TOKENS + VALUES + DASHED))]
-        at = draw(st.integers(1, len(argv)))
-        argv[at:at] = tokens
+            token = draw(st.sampled_from(OTHER_TOKENS + VALUES + DASHED))
+            argv.insert(draw(st.integers(1, len(argv))), token)
     return argv
 
 

@@ -95,10 +95,13 @@ ERRORS = [
     ["example", "--name", "gl", "--p", "29"],
     ["example", "--name", "gl", "--p", "5", "--class-number", "0"],
     ["example", "--name", "sp", "--p", "29"],
+    ["example", "--name", "sp", "--p", "3"],
     ["example", "--name", "mcg", "--p", "11", "--class-number", "1"],
     ["example", "--name", "mcg", "--p", "4"],
+    ["example", "--name", "mcg", "--p", "3"],
     ["example", "--name", "amalgam", "--p", "5", "--class-number", "1"],
     ["example", "--name", "amalgam", "--p", "2"],
+    ["selftest", "--max-p", "1"],
     ["normalize"],
     ["normalize", "--demo", "not_a_demo"],
     ["normalize", "--demo", "canonical_p4_k2"],

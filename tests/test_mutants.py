@@ -4,6 +4,7 @@ function of the command-line parser or the orbit-minimum mask, and the oracles
 paired with it must then fail.  A mutant that nothing catches marks an oracle
 to strengthen."""
 
+import functools
 import inspect
 import json
 import sys
@@ -15,7 +16,7 @@ import pytest
 import test_cli_parser
 import test_orbits
 import test_golden_moves as golden_moves
-from tatek import cli, orbits, records, series
+from tatek import classes, cli, modp, orbits, records, series
 from tatek.modp import StabiliserKind
 from tatek.selftest import run_selftest
 from tatek.graphs import EdgeOrbitRef, _WorkingGraph, canonical_graph, dumps, scramble_graph, slide
@@ -326,3 +327,88 @@ def test_never_quoting_encoder_fails_the_records_oracles(check, monkeypatch):
     assert patch_everywhere(monkeypatch, records.encode_value, never_quoting) == ["tatek.records"]
     with pytest.raises(AssertionError):
         check()
+
+
+def replay_fixture(stem: str) -> None:
+    expected = json.loads((GOLDEN_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+    assert run_main(expected["argv"]) == expected
+
+
+def fixture_checks(*stems: str) -> list:
+    return [functools.partial(replay_fixture, stem) for stem in stems]
+
+
+def appending_duplicates(out: list[str], *citations: str) -> None:
+    """``merge_citations`` appending every non-empty citation, seen or not."""
+    out.extend(citation for citation in citations if citation)
+
+
+def clear_group_caches():
+    modp.stabiliser_group.cache_clear()
+    orbits._minimum_mask.cache_clear()
+
+
+# Mutants of one pipeline function each, as (module, name, the replacement,
+# the modules that hold it by name, the checks that must fail).  The sixth
+# turn replaced by the quarter turn makes the theta stabiliser the rose one,
+# and the quotient graph's Betti number negative at p = 2, 5 and 7.  A
+# ``merge_citations`` that keeps duplicates passes ``run_selftest``: only the
+# golden fixtures catch it.  An ``order_p_classes`` without the phi class
+# fails the selftest's class count at n = p + 1.
+PIPELINE_MUTANTS = {
+    "sixth_turn_as_quarter_turn": (
+        modp,
+        "sixth_turn",
+        lambda: modp.quarter_turn,
+        ["tatek.modp"],
+        [functools.partial(orbits.quotient_summary, p) for p in (2, 5, 7)]
+        + [check_selftest]
+        + fixture_checks(
+            "orbits_p_5_format_text",
+            "orbits_p_7_kind_theta_list_format_records",
+            "tate_p_11_n_12_format_text",
+        ),
+    ),
+    "merge_citations_keeping_duplicates": (
+        series,
+        "merge_citations",
+        lambda: appending_duplicates,
+        ["tatek.assemble", "tatek.series"],
+        fixture_checks(
+            "rational_p_5_n_7_format_text",
+            "rational_p_5_n_7_format_records",
+            "tate_p_7_n_11_format_text",
+        ),
+    ),
+    "order_p_classes_without_phi": (
+        classes,
+        "order_p_classes",
+        lambda: mutated_method(classes, "order_p_classes", ("if n == p + 1:", "if False:")),
+        ["tatek", "tatek.assemble", "tatek.classes", "tatek.cli"],
+        [check_selftest]
+        + fixture_checks(
+            "classes_p_11_n_12_format_text",
+            "classes_p_11_n_12_format_records",
+            "tate_p_5_n_6_format_text",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_MUTANTS))
+def test_pipeline_mutants_fail_their_oracles(name, monkeypatch):
+    module, attr, make_mutant, holders, checks = PIPELINE_MUTANTS[name]
+    for check in checks:
+        check()
+    # The stabiliser groups and the last orbit mask are cached: they are
+    # dropped before the mutant runs and again once it is undone.
+    try:
+        with monkeypatch.context() as patch:
+            patched = patch_everywhere(patch, getattr(module, attr), make_mutant())
+            assert sorted(patched) == holders
+            clear_group_caches()
+            for check in checks:
+                with pytest.raises(AssertionError):
+                    check()
+    finally:
+        clear_group_caches()

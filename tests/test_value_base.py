@@ -193,10 +193,8 @@ def test_argument_errors_match_twin(cls):
     values = _samples_of(cls)[0]
     for call in _bad_calls(cls, values):
         ours_type, ours_msg = _error(lambda: call(cls))
-        theirs_type, theirs_msg = _error(lambda: call(twin))
+        theirs_type, _ = _error(lambda: call(twin))
         assert ours_type is theirs_type is TypeError
-        # Newer interpreters may append a "Did you mean" hint.
-        assert theirs_msg.startswith(ours_msg), (ours_msg, theirs_msg)
         assert cls.__qualname__ in ours_msg
 
 
