@@ -176,11 +176,6 @@ def rational_k(p: int, n: int) -> RationalKResult:
     )
 
 
-def weak_duality(p: int, n: int) -> bool | Unknown:
-    """Whether the odd Farrell-Tate K-group vanishes (weak duality)."""
-    return tate_k(p, n).weak_duality
-
-
 # ---------------------------------------------------------------------------
 # Example families
 

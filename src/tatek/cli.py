@@ -108,12 +108,6 @@ def _domain_error(exc: Exception) -> int:
     return EXIT_DOMAIN_ERROR
 
 
-_KIND_BY_NAME = {
-    "edge": StabiliserKind.EDGE,
-    "rose": StabiliserKind.ROSE_VERTEX,
-    "theta": StabiliserKind.THETA_VERTEX,
-}
-
 # Each command builds its output in one pass, as (record, text) items: the
 # record is rendered in records format and the text line in text format, and
 # either may be None.  Records leave out what only a reader needs (orbit
@@ -179,7 +173,7 @@ def _tate_items(record: dict, title: str, result, cite: bool) -> list[Item]:
 
 
 def _orbit_items(args, p: int) -> Iterator[Item]:
-    kinds = [_KIND_BY_NAME[args.kind]] if args.kind else list(_KIND_BY_NAME.values())
+    kinds = [StabiliserKind(args.kind)] if args.kind else list(StabiliserKind)
     for kind in kinds:
         report = orbit_report(kind, p)
         order, orbits = len(report.per_element_counts), report.orbit_count
@@ -433,22 +427,25 @@ class Option(Value):
     ``int()``), ``str``, or ``bool`` for a flag that stores True."""
 
     name: str
-    dest: str
     kind: type = str
     choices: tuple | None = None
     required: bool = False
     default: object = None
     help: str | None = None
 
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
 
 _COMMON_OPTIONS = (
     Option(
-        "--format", "format", choices=("text", "records"), default="text",
+        "--format", choices=("text", "records"), default="text",
         help="output rendering (default: text)",
     ),
-    Option("--no-cite", "no_cite", bool, default=False, help="suppress citation output"),
+    Option("--no-cite", bool, default=False, help="suppress citation output"),
 )
-_P_AND_N = (Option("--p", "p", int, required=True), Option("--n", "n", int, required=True))
+_P_AND_N = (Option("--p", int, required=True), Option("--n", int, required=True))
 
 # Every subcommand once, in the order of the help: its help line and its
 # options, then the common ones.  Both parsers are built from this table; the
@@ -459,14 +456,15 @@ COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
         "stabiliser orbit counts on nonzero (Z/p)^2",
         (
             Option(
-                "--p", "p", int, required=True,
+                "--p", int, required=True,
                 help=f"prime modulus, at most {MAX_ORBIT_PRIME} (the explicit partition "
                 "takes p^2 bytes and time)",
             ),
             Option(
-                "--kind", "kind", choices=tuple(sorted(_KIND_BY_NAME)), help="one stabiliser only"
+                "--kind", choices=tuple(kind.value for kind in StabiliserKind),
+                help="one stabiliser only",
             ),
-            Option("--list", "list", bool, default=False, help="list fixed points and orbits"),
+            Option("--list", bool, default=False, help="list fixed points and orbits"),
         ),
     ),
     "classes": ("order-p conjugacy classes of Out(F_n)", _P_AND_N),
@@ -474,24 +472,24 @@ COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
     "rational": ("rationalised p-adic K-theory of B Out(F_n)", _P_AND_N),
     "table": (
         "emit table 4 (Farrell-Tate) or 5 (rationalised)",
-        (Option("--which", "which", int, choices=(4, 5), required=True),),
+        (Option("--which", int, choices=(4, 5), required=True),),
     ),
     "normalize": (
         "normalize an equivariant graph",
         (
-            Option("--input", "input", help="graph JSON file"),
-            Option("--demo", "demo", help="built-in graph name"),
+            Option("--input", help="graph JSON file"),
+            Option("--demo", help="built-in graph name"),
         ),
     ),
     "example": (
         "worked example families",
         (
-            Option("--name", "name", choices=EXAMPLE_FAMILIES, required=True),
-            Option("--p", "p", int),
-            Option("--class-number", "class_number", int),
+            Option("--name", choices=EXAMPLE_FAMILIES, required=True),
+            Option("--p", int),
+            Option("--class-number", int),
         ),
     ),
-    "selftest": ("run the invariant sweeps", (Option("--max-p", "max_p", int, default=31),)),
+    "selftest": ("run the invariant sweeps", (Option("--max-p", int, default=31),)),
 }
 
 

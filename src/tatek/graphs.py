@@ -730,10 +730,6 @@ class Move(Value):
     target: int | None = None
 
 
-def apply_move(g: EquivariantGraph, move: Move) -> EquivariantGraph:
-    return replay(g, (move,))
-
-
 def replay(g: EquivariantGraph, moves: Iterable[Move]) -> EquivariantGraph:
     """Apply a move log in order on one working copy; each move's indices
     refer to the graph left by the moves before it."""

@@ -70,14 +70,13 @@ class Mat2P(Value):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, getattr(self, name) % self.p)
         if self.det_value == 0:
-            raise ValueError(f"matrix {self.rows()} is singular mod {self.p}")
+            raise ValueError(
+                f"matrix {((self.a, self.b), (self.c, self.d))} is singular mod {self.p}"
+            )
 
     @classmethod
     def identity(cls, p: int) -> "Mat2P":
         return cls(1, 0, 0, 1, p)
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
 
     @property
     def det_value(self) -> int:
@@ -118,9 +117,6 @@ class Mat2P(Value):
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-    def __str__(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.p}"
 
 
 def mat_mul(x: Mat2P, y: Mat2P) -> Mat2P:

@@ -67,42 +67,16 @@ def kernel_dimension_of_m_minus_identity(m: Mat2P) -> int:
     return 0
 
 
-class FixedPointReport(Value):
-    """Count (and optionally the list) of nonzero vectors fixed by a matrix."""
-
-    count: int
-    solutions: tuple[tuple[int, int], ...] | None = None
-
-
-def nonzero_vectors(p: int) -> Iterator[tuple[int, int]]:
-    for l in range(p):
-        for m in range(p):
-            if l or m:
-                yield (l, m)
-
-
-def fixed_points(m: Mat2P, list_solutions: bool = False) -> FixedPointReport:
-    """Nonzero solutions of Mv = v.
-
-    The count is p^k - 1 where k = dim ker(M - 1); when solutions are listed
-    they are enumerated independently and cross-checked against that count.
-    """
-    k = kernel_dimension_of_m_minus_identity(m)
-    count = m.p ** k - 1
-    solutions = None
-    if list_solutions:
-        solutions = tuple(v for v in nonzero_vectors(m.p) if m.apply(v) == v)
-        if len(solutions) != count:
-            raise AssertionError(
-                f"kernel count {count} disagrees with enumeration "
-                f"{len(solutions)} for {m}"
-            )
-    return FixedPointReport(count, solutions)
+def fixed_points(m: Mat2P) -> int:
+    """The number of nonzero solutions of Mv = v: p^k - 1 where
+    k = dim ker(M - 1).  The tests check it against an enumeration of the
+    p^2 - 1 vectors."""
+    return m.p ** kernel_dimension_of_m_minus_identity(m) - 1
 
 
 def burnside_orbit_count(g: MatrixGroup) -> int:
     """Number of orbits on nonzero vectors: the average fixed-point count."""
-    total = sum(fixed_points(m).count for m in g.elements)
+    total = sum(fixed_points(m) for m in g.elements)
     orbits, remainder = divmod(total, g.order)
     if remainder != 0:
         raise NonIntegralOrbitCount(
@@ -215,11 +189,6 @@ def _zeros(mask: bytes) -> Iterator[int]:
         v = mask.find(0, v + 1)
 
 
-def _orbit_starts(mask: bytes) -> list[int]:
-    """The zeros as a list, as the tests compare them with a reference walker."""
-    return list(_zeros(mask))
-
-
 def iter_orbits(g: MatrixGroup) -> Iterator[list[tuple[int, int]]]:
     """Explicit orbit partition of the nonzero vectors; the independent oracle.
 
@@ -282,7 +251,7 @@ def orbit_report(kind: StabiliserKind, p: int) -> OrbitReport:
     """
     check_orbit_prime(p)
     group = stabiliser_group(kind, p)
-    per_element = tuple((m, fixed_points(m).count) for m in group.elements)
+    per_element = tuple((m, fixed_points(m)) for m in group.elements)
     burnside = burnside_orbit_count(group)
     brute = _minimum_mask(group).count(0)
     closed = closed_form_orbits(kind, p)

@@ -109,11 +109,11 @@ def _check_weak_duality(max_p: int) -> Check:
         ranks = [p - 1, p, p + 2] + ([p + 3] if p >= 7 else [])
         for n in ranks:
             check.expect(
-                assemble.weak_duality(p, n) is True, f"(p={p}, n={n}): expected duality"
+                assemble.tate_k(p, n).weak_duality is True, f"(p={p}, n={n}): expected duality"
             )
         betti = orbits.quotient_summary(p).betti_one
         check.expect(
-            assemble.weak_duality(p, p + 1) is (betti == 0),
+            assemble.tate_k(p, p + 1).weak_duality is (betti == 0),
             f"(p={p}, n={p + 1}): duality should be {betti == 0}",
         )
     return check
@@ -199,7 +199,7 @@ def _check_graphs(max_p: int) -> Check:
             current = g
             ok = True
             for move in moves:
-                current = graphs.apply_move(current, move)
+                current = graphs.replay(current, (move,))
                 if not graphs.validate(current).ok:
                     ok = False
                     break

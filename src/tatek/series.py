@@ -289,6 +289,8 @@ class Registry:
             if status not in ("known", "unknown"):
                 raise RegistryDataError(f"{where}: bad status {_shown(status)}")
             citation = body.get("citation", "")
+            if not isinstance(citation, str):
+                raise RegistryDataError(f"{where}: citation {_shown(citation)} is not a string")
             if status == "known":
                 if not citation:
                     raise RegistryDataError(f"{where}: missing citation")
@@ -297,8 +299,19 @@ class Registry:
                     raise RegistryDataError(f"{where}: dims missing or not an object")
                 try:
                     series = PoincareSeries.from_dims({int(k): int(v) for k, v in dims.items()})
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise RegistryDataError(f"{where}: bad dims: {_cut(str(exc))}") from exc
+                # int() also takes "01", " 1", 2.7, true and "3": each would
+                # stand for a degree or a dimension it does not spell.
+                for degree, dim in dims.items():
+                    if str(int(degree)) != degree:
+                        raise RegistryDataError(
+                            f"{where}: dims degree {_shown(degree)} is not a canonical decimal"
+                        )
+                    if type(dim) is not int:
+                        raise RegistryDataError(
+                            f"{where}: dims value {_shown(dim)} is not an integer"
+                        )
                 if series.dim(0) < 1:
                     raise RegistryDataError(f"{where}: dims[0] must be >= 1")
             else:

@@ -13,7 +13,6 @@ from tatek.assemble import (
     example_sp,
     rational_k,
     tate_k,
-    weak_duality,
 )
 from tatek.classes import OutOfRange
 from tatek.orbits import quotient_summary
@@ -75,18 +74,18 @@ def test_rational_unknown_propagation():
 
 
 def test_weak_duality_examples():
-    assert weak_duality(5, 6) is True
-    assert weak_duality(13, 14) is False
-    assert weak_duality(7, 10) is True
+    assert tate_k(5, 6).weak_duality is True
+    assert tate_k(13, 14).weak_duality is False
+    assert tate_k(7, 10).weak_duality is True
 
 
 def test_weak_duality_pattern():
     for p in (5, 7, 11, 13, 17, 19, 23):
         for n in (p - 1, p, p + 2):
-            assert weak_duality(p, n) is True, (p, n)
+            assert tate_k(p, n).weak_duality is True, (p, n)
         if p >= 7:
-            assert weak_duality(p, p + 3) is True
-        assert weak_duality(p, p + 1) is (p in (5, 7))
+            assert tate_k(p, p + 3).weak_duality is True
+        assert tate_k(p, p + 1).weak_duality is (p in (5, 7))
 
 
 def test_thm_even_dim_four_at_rank_p_plus_one():

@@ -352,6 +352,19 @@ def test_import_loads_every_layer_but_not_dataclasses():
     assert result.stdout == "\n\n"
 
 
+def test_import_of_the_root_loads_no_layer():
+    # The root holds only the version; each layer is imported as tatek.<layer>.
+    code = (
+        "import sys, tatek; print(tatek.__version__); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('tatek.'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0.1.0\n\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -436,9 +449,45 @@ def _with_entry(name: str, body) -> dict:
             "class theta(0,2): the registry dims of finite x finite x AutF2 reach degree 99, "
             "above 2n = 12",
         ),
+        (
+            _with_entry("AutF2", {"status": "known", "citation": "x", "dims": {"0": 1, "1": 2.7}}),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF2: dims value 2.7 is not an integer",
+        ),
+        (
+            _with_entry("AutF2", {"status": "known", "citation": "x", "dims": {"0": 1, "1": True}}),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF2: dims value True is not an integer",
+        ),
+        (
+            _with_entry("AutF2", {"status": "known", "citation": "x", "dims": {"0": 1, "1": "3"}}),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF2: dims value '3' is not an integer",
+        ),
+        (
+            _with_entry(
+                "AutF2", {"status": "known", "citation": "x", "dims": {"0": 1, "1": 2, "01": 0}}
+            ),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF2: dims degree '01' is not a canonical decimal",
+        ),
+        (
+            _with_entry("AutF2", {"status": "known", "citation": 7, "dims": {"0": 1}}),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF2: citation 7 is not a string",
+        ),
+        (
+            _with_entry(
+                "AutF2", {"status": "known", "citation": "x", "dims": {"0": 1, "1": float("inf")}}
+            ),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry entry AutF2: bad dims: cannot convert float infinity to integer",
+        ),
     ],
     ids=[
-        "known_without_dims", "no_entries", "version", "entry_not_object", "bad_dims", "above_2n"
+        "known_without_dims", "no_entries", "version", "entry_not_object", "bad_dims", "above_2n",
+        "float_dim", "bool_dim", "string_dim", "leading_zero_degree", "citation_not_text",
+        "infinite_dim",
     ],
 )
 def test_registry_data_errors(doc, argv, message, registry_override, capsys):

@@ -15,7 +15,6 @@ from tatek.graphs import (
     NotAForest,
     NotComposable,
     SameOrbit,
-    apply_move,
     canonical_graph,
     collapse_orbit,
     dumps,
@@ -29,6 +28,7 @@ from tatek.graphs import (
     orbit_step_multiset,
     random_valid_graph,
     rank,
+    replay,
     slide,
     validate,
 )
@@ -321,7 +321,7 @@ def test_normalize_hexagon():
     assert form.loops_per_vertex == 0
     current = g
     for move in moves:
-        current = apply_move(current, move)
+        current = replay(current, (move,))
         assert validate(current).ok
     assert is_canonical_form(current)
 
@@ -364,7 +364,7 @@ def test_normalize_nonstandard_cycle_with_company_succeeds():
     assert (form.loops_per_vertex, form.rank) == (1, 6)
     current = g
     for move in moves:
-        current = apply_move(current, move)
+        current = replay(current, (move,))
         assert validate(current).ok
     assert is_canonical_form(current)
 
@@ -404,7 +404,7 @@ def test_move_log_indices_are_sequential():
     form, moves = normalize(g)
     replayed = g
     for move in moves:
-        replayed = apply_move(replayed, move)
+        replayed = replay(replayed, (move,))
     assert is_canonical_form(replayed)
     assert rank(replayed) == form.rank
 
@@ -465,9 +465,9 @@ def test_scramble_builds_one_graph_for_all_slides_and_one_per_expansion(monkeypa
 def test_apply_move_validates_op():
     g = canonical_graph(3, 1)
     with pytest.raises(ValueError):
-        apply_move(g, Move("twist", 0))
+        replay(g, (Move("twist", 0),))
     with pytest.raises(ValueError):
-        apply_move(g, Move("slide", 0, None))
+        replay(g, (Move("slide", 0, None),))
 
 
 def test_json_roundtrip():

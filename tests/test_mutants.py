@@ -343,6 +343,18 @@ def appending_duplicates(out: list[str], *citations: str) -> None:
     out.extend(citation for citation in citations if citation)
 
 
+def counting_zero_too(m: modp.Mat2P) -> int:
+    """``fixed_points`` without the -1: p^k, the zero vector counted as fixed."""
+    return m.p ** orbits.kernel_dimension_of_m_minus_identity(m)
+
+
+def check_fixed_point_listing():
+    """The listing test, with the ``fixed_points`` the orbits module holds now."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(test_orbits, "fixed_points", orbits.fixed_points)
+        test_orbits.test_fixed_point_listing_matches_count()
+
+
 def clear_group_caches():
     modp.stabiliser_group.cache_clear()
     orbits._minimum_mask.cache_clear()
@@ -354,8 +366,18 @@ def clear_group_caches():
 # and the quotient graph's Betti number negative at p = 2, 5 and 7.  A
 # ``merge_citations`` that keeps duplicates passes ``run_selftest``: only the
 # golden fixtures catch it.  An ``order_p_classes`` without the phi class
-# fails the selftest's class count at n = p + 1.
+# fails the selftest's class count at n = p + 1.  A ``fixed_points`` that
+# counts the zero vector adds one to every Burnside average, which stays an
+# integer (9, 6 and 5 orbits at p = 5 for 8, 5 and 4): the orbit report's
+# match fails, not the integrality check.
 PIPELINE_MUTANTS = {
+    "fixed_points_counting_zero": (
+        orbits,
+        "fixed_points",
+        lambda: counting_zero_too,
+        ["tatek.orbits"],
+        [check_fixed_point_listing, check_orbit_reports, check_selftest],
+    ),
     "sixth_turn_as_quarter_turn": (
         modp,
         "sixth_turn",
@@ -384,7 +406,7 @@ PIPELINE_MUTANTS = {
         classes,
         "order_p_classes",
         lambda: mutated_method(classes, "order_p_classes", ("if n == p + 1:", "if False:")),
-        ["tatek", "tatek.assemble", "tatek.classes", "tatek.cli"],
+        ["tatek.assemble", "tatek.classes", "tatek.cli"],
         [check_selftest]
         + fixture_checks(
             "classes_p_11_n_12_format_text",

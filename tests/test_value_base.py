@@ -73,8 +73,6 @@ def _collect_samples() -> dict:
         graphs.edge_orbit_refs(scrambled),
         edge_group,
         orbits.orbit_report(modp.StabiliserKind.ROSE_VERTEX, 5),
-        [orbits.fixed_points(m, list_solutions=True) for m in edge_group.elements],
-        orbits.fixed_points(edge_group.elements[0]),
         orbits.quotient_summary(7),
         series.series_of(series.FreeAbelian(3)),
         series.FreeAbelian(3),
