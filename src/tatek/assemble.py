@@ -12,7 +12,6 @@ cells reproduce faithfully instead of erroring.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from ._value import Value, _cut
@@ -206,6 +205,8 @@ _AMALGAM_CITATIONS = (
 
 
 def _class_number_table() -> dict[str, dict[str, int]]:
+    import json
+
     text = (
         resources.files("tatek")
         .joinpath("data", "class_numbers.json")

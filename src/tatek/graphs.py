@@ -24,7 +24,6 @@ returns a move log that replays the reduction step by step.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import compress
 from random import Random
@@ -1064,6 +1063,8 @@ def dumps(g: EquivariantGraph) -> str:
 
 
 def loads(text: str) -> EquivariantGraph:
+    import json
+
     try:
         obj = json.loads(text)
     except RecursionError:

@@ -1,29 +1,35 @@
 """Line-oriented key=value records with a stable, round-trippable encoding.
 
-One record per line; keys keep their given order.  Values that consist only
-of safe characters are written bare, everything else is JSON-quoted, so
-``parse(render(r)) == r`` and re-rendering parsed text reproduces it byte for
-byte.
+One record per line; keys keep their given order.  Values that are non-empty
+and consist only of the characters of ``_BARE`` are written bare, everything
+else is JSON-quoted, so ``parse(render(r)) == r`` and re-rendering parsed text
+reproduces it byte for byte.  The ``json`` codec is imported only where a
+value is quoted or unquoted, and the token pattern ``_TOKEN`` is compiled (once,
+through ``re``'s cache) only where a record is parsed, so rendering bare
+records loads neither.
 """
 
 from __future__ import annotations
 
-import json
 import re
 
-_BARE = re.compile(r"[A-Za-z0-9_.,+:/()\[\]{}<>^=-]+")
-_TOKEN = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)=("(?:[^"\\]|\\.)*"|\S+)')
+# The bare characters; '"' is not among them, so a bare value never starts a
+# quoted one.
+_BARE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.,+:/()[]{}<>^=-"
+_TOKEN = r'([A-Za-z_][A-Za-z0-9_]*)=("(?:[^"\\]|\\.)*"|\S+)'
 
 
 def encode_value(value: str) -> str:
-    if value and _BARE.fullmatch(value) and not value.startswith('"'):
+    if value and not value.strip(_BARE):
         return value
+    import json
+
     return json.dumps(value)
 
 
 def render_record(items: dict) -> str:
     """One line of ``key=value`` pairs; an int is written as ``str`` writes it,
-    which is always bare, without the regex of :func:`encode_value`."""
+    which is always bare, without the test of :func:`encode_value`."""
     return " ".join(
         f"{key}={value}" if type(value) is int else f"{key}={encode_value(str(value))}"
         for key, value in items.items()
@@ -31,16 +37,30 @@ def render_record(items: dict) -> str:
 
 
 def parse_record(line: str) -> dict[str, str]:
+    """The pairs of one line.  Each token must be followed by a space or the
+    end of the line, and a quoted value must be a whole JSON string."""
+    import json
+
+    token = re.compile(_TOKEN)
     out: dict[str, str] = {}
     pos = 0
     line = line.strip()
     while pos < len(line):
-        match = _TOKEN.match(line, pos)
-        if match is None:
-            raise ValueError(f"malformed record at column {pos}: {line!r}")
+        match = token.match(line, pos)
+        end = pos if match is None else match.end()
+        if match is None or line[end : end + 1] not in ("", " "):
+            raise ValueError(f"malformed record at column {end}: {line!r}")
         key, raw = match.group(1), match.group(2)
-        out[key] = json.loads(raw) if raw.startswith('"') else raw
-        pos = match.end()
+        if raw.startswith('"'):
+            try:
+                out[key] = json.loads(raw)
+            except json.JSONDecodeError:
+                raise ValueError(
+                    f"malformed record at column {match.start(2)}: {line!r}"
+                ) from None
+        else:
+            out[key] = raw
+        pos = end
         while pos < len(line) and line[pos] == " ":
             pos += 1
     return out

@@ -11,7 +11,6 @@ citation, and entries with no published value are stored with status
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from importlib import resources
@@ -247,12 +246,14 @@ class RegistryEntry(Value):
 # Names with no published computation resolve to synthetic unknown entries so
 # that enumeration in large ranks degrades to unknown results instead of
 # erroring: Aut(F_r) for r >= 6, Out(F_r) for r >= 8, and the rose
-# centraliser cores (F_r x| Aut(F_r)) x| Z/2 for r >= 5.
+# centraliser cores (F_r x| Aut(F_r)) x| Z/2 for r >= 5.  The patterns are
+# kept as strings and compiled through ``re``'s cache at the first lookup, so
+# importing this module compiles none.
 _DYNAMIC_UNKNOWN = (
-    (re.compile(r"AutF(\d+)"), 6, "H_*(Aut(F_{r}); Q) has no published computation."),
-    (re.compile(r"OutF(\d+)"), 8, "H_*(Out(F_{r}); Q) has no published computation."),
+    (r"AutF(\d+)", 6, "H_*(Aut(F_{r}); Q) has no published computation."),
+    (r"OutF(\d+)", 8, "H_*(Out(F_{r}); Q) has no published computation."),
     (
-        re.compile(r"F(\d+)SemidirectAutF(\d+)_Z2invariants"),
+        r"F(\d+)SemidirectAutF(\d+)_Z2invariants",
         5,
         "H^*(F_{r} x| Aut(F_{r}); Q)^{{Z/2}} has no published computation.",
     ),
@@ -268,6 +269,8 @@ class Registry:
 
     @classmethod
     def from_json_text(cls, text: str) -> "Registry":
+        import json
+
         try:
             raw = json.loads(text)
         except RecursionError:
@@ -350,7 +353,7 @@ class Registry:
         if entry is not None:
             return entry
         for pattern, threshold, template in _DYNAMIC_UNKNOWN:
-            match = pattern.fullmatch(name)
+            match = re.fullmatch(pattern, name)
             if match is None:
                 continue
             ranks = set(match.groups())

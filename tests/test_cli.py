@@ -336,9 +336,9 @@ def test_import_loads_every_layer_but_not_dataclasses():
     # of that import before the value classes moved to tatek._value.
     # `argparse` (which loads `gettext`; building its parser loads `locale`)
     # is imported only for help and usage errors, not to parse a canonical
-    # command line.
+    # command line, and `json` only where JSON is read or quoted.
     layers = ("records", "modp", "orbits", "graphs", "series", "classes", "assemble", "selftest")
-    unwanted = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+    unwanted = ("dataclasses", "inspect", "argparse", "gettext", "locale", "json")
     code = (
         "import sys, tatek.cli; "
         "tatek.cli.build_parser().parse_args(['tate', '--p', '11', '--n', '12']); "
@@ -350,6 +350,36 @@ def test_import_loads_every_layer_but_not_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "\n\n"
+
+
+def test_startup_compiles_no_pattern_and_bare_requests_load_no_json():
+    # The median request of the orbit workload is an `orbits --format
+    # records` run. Importing the layers compiles no pattern, and answering
+    # it, a demo graph or an example that reads no JSON file loads no JSON
+    # codec.
+    argvs = [
+        ["orbits", "--p", "5", "--format", "records"],
+        ["orbits", "--p", "7", "--kind", "theta", "--list", "--format", "records"],
+        ["normalize", "--demo", "scrambled_p5_k2_seed3", "--format", "records"],
+        ["example", "--name", "amalgam", "--p", "7"],
+    ]
+    code = (
+        "import re, sys\n"
+        "compiled = []\n"
+        "real_compile = re.compile\n"
+        "re.compile = lambda *a, **k: compiled.append(a[0]) or real_compile(*a, **k)\n"
+        "import tatek.cli\n"
+        "print(compiled, file=sys.stderr)\n"
+        f"codes = [tatek.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, file=sys.stderr)\n"
+        "print(sorted(m for m in sys.modules if m in ('json', '_json')), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "[]\n[0, 0, 0, 0]\n[]\n"
+    assert result.stdout.startswith("record=orbit_report kind=edge p=5 ")
 
 
 def test_import_of_the_root_loads_no_layer():

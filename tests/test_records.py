@@ -1,4 +1,8 @@
-from hypothesis import given, strategies as st
+import json
+import re
+
+import pytest
+from hypothesis import example, given, strategies as st
 
 from tatek.records import encode_value, parse_record, parse_records, render_record, render_records
 
@@ -57,8 +61,46 @@ def test_render_record_writes_ints_as_the_per_value_path_did(items):
     assert render_record(items) == reference_render_record(items)
 
 
-def test_malformed_line_rejected():
-    import pytest
+# The bare rule as a regex, as ``encode_value`` once tested it.
+_BARE_REGEX = re.compile(r"[A-Za-z0-9_.,+:/()\[\]{}<>^=-]+")
 
-    with pytest.raises(ValueError):
+
+def reference_encode_value(value: str) -> str:
+    if value and _BARE_REGEX.fullmatch(value) and not value.startswith('"'):
+        return value
+    return json.dumps(value)
+
+
+@given(st.text())
+@example("")
+@example('"a')
+@example('a"')
+@example("a b")
+@example("é")
+@example("٣")
+@example("\n")
+@example("[[0,1],[1,0]]")
+@example("F4SemidirectAutF4_Z2invariants")
+def test_encode_value_follows_the_bare_regex(value):
+    assert encode_value(value) == reference_encode_value(value)
+
+
+def test_malformed_line_rejected():
+    with pytest.raises(ValueError, match="^malformed record at column 0: "):
         parse_record("no_equals_sign_here")
+
+
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        # A quoted value runs into the next key with no space between.
+        ('a="x"b=1', 5),
+        # An unterminated quote, and an escape JSON does not know.
+        ('a="x', 2),
+        ('a=1 b="\\q"', 6),
+    ],
+    ids=["no_space_after_quote", "unterminated_quote", "unknown_escape"],
+)
+def test_malformed_token_rejected(line, column):
+    with pytest.raises(ValueError, match=f"^malformed record at column {column}: "):
+        parse_record(line)

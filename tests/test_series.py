@@ -144,6 +144,50 @@ def test_registry_dynamic_unknowns():
         registry_lookup("OutF1")
 
 
+SYNTHETIC_UNKNOWN_CASES = [
+    ("AutF6", "H_*(Aut(F_6); Q) has no published computation."),
+    ("OutF8", "H_*(Out(F_8); Q) has no published computation."),
+    (
+        "F5SemidirectAutF5_Z2invariants",
+        "H^*(F_5 x| Aut(F_5); Q)^{Z/2} has no published computation.",
+    ),
+    # `\d` takes any Unicode decimal digit, and the reason repeats it.
+    ("AutF\u0666", "H_*(Aut(F_\u0666); Q) has no published computation."),
+    ("OutF\u0668", "H_*(Out(F_\u0668); Q) has no published computation."),
+    (
+        "F\u0665SemidirectAutF\u0665_Z2invariants",
+        "H^*(F_\u0665 x| Aut(F_\u0665); Q)^{Z/2} has no published computation.",
+    ),
+    ("AutF5", None),
+    ("OutF7", None),
+    ("F4SemidirectAutF4_Z2invariants", None),
+    ("F5SemidirectAutF6_Z2invariants", None),
+    # The two ranks must be spelled alike, not merely equal.
+    ("F5SemidirectAutF\u0665_Z2invariants", None),
+]
+
+
+@pytest.mark.parametrize(
+    "name, citation",
+    SYNTHETIC_UNKNOWN_CASES,
+    ids=[ascii(name)[1:-1] for name, _ in SYNTHETIC_UNKNOWN_CASES],
+)
+def test_synthetic_unknown_names(name, citation):
+    # An empty registry, so that only the synthetic rule decides.
+    registry = Registry({}, version=1)
+    if citation is None:
+        with pytest.raises(NoSuchEntry):
+            registry.lookup(name)
+    else:
+        entry = registry.lookup(name)
+        assert (entry.name, entry.status, entry.series, entry.citation) == (
+            name,
+            "unknown",
+            None,
+            citation,
+        )
+
+
 def test_registry_citations_nonempty():
     registry = default_registry()
     for name in registry.names():
