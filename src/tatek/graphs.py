@@ -55,7 +55,6 @@ class InvalidGraph(ValueError):
     def __init__(self, report: "ValidityReport"):
         lines = "; ".join(f"{code}: {msg}" for code, msg in report.violations)
         super().__init__(f"graph fails validation: {lines}")
-        self.report = report
 
 
 class NormalizationError(RuntimeError):
@@ -201,11 +200,6 @@ class EquivariantGraph(Value):
 
     def half_edges_at(self, v: int) -> list[int]:
         return [h for h in range(self.n_half_edges) if self.attach[h] == v]
-
-    def act_vertex(self, v: int, k: int = 1) -> int:
-        for _ in range(k % self.p):
-            v = self.vertex_action[v]
-        return v
 
     # -- orbits ------------------------------------------------------------
 
@@ -711,13 +705,10 @@ class NormalForm(Value):
 
     p: int
     loops_per_vertex: int
-    rank: int
 
-    def __post_init__(self) -> None:
-        if self.rank != self.p * self.loops_per_vertex + 1:
-            raise ValueError(
-                f"rank {self.rank} != p*k + 1 with p={self.p}, k={self.loops_per_vertex}"
-            )
+    @property
+    def rank(self) -> int:
+        return self.p * self.loops_per_vertex + 1
 
 
 class Move(Value):
@@ -915,7 +906,7 @@ def normalize(g: EquivariantGraph) -> tuple[NormalForm, tuple[Move, ...]]:
         raise AssertionError("normalization changed the rank")
     # A canonical form has n_edges / p edge orbits, and all but the cycle are loops.
     loops = g.n_edges // g.p - 1
-    return NormalForm(p=g.p, loops_per_vertex=loops, rank=input_rank), tuple(moves)
+    return NormalForm(p=g.p, loops_per_vertex=loops), tuple(moves)
 
 
 # ---------------------------------------------------------------------------

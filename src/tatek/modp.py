@@ -227,7 +227,6 @@ def sixth_turn(p: int) -> Mat2P:
 
 
 def stabiliser_generators(kind: StabiliserKind, p: int) -> tuple[Mat2P, Mat2P]:
-    check_prime(p)
     swap = coordinate_swap(p)
     if kind is StabiliserKind.EDGE:
         return (swap, negate_both(p))

@@ -2,11 +2,12 @@
 
 One record per line; keys keep their given order.  Values that are non-empty
 and consist only of the characters of ``_BARE`` are written bare, everything
-else is JSON-quoted, so ``parse(render(r)) == r`` and re-rendering parsed text
-reproduces it byte for byte.  The ``json`` codec is imported only where a
-value is quoted or unquoted, and the token pattern ``_TOKEN`` is compiled (once,
-through ``re``'s cache) only where a record is parsed, so rendering bare
-records loads neither.
+else is JSON-quoted, so ``parse(render(r)) == r``, and re-rendering parsed text
+that ``render_record`` wrote reproduces it byte for byte; the parser takes a
+bare value only from those characters.  The ``json`` codec is imported only
+where a value is quoted or unquoted, and the token pattern ``_TOKEN`` is
+compiled (once, through ``re``'s cache) only where a record is parsed, so
+rendering bare records loads neither.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import re
 
 # The bare characters; '"' is not among them, so a bare value never starts a
-# quoted one.
+# quoted one.  A value that starts with '"' but is no whole JSON string still
+# makes a token, which ``json.loads`` then refuses at the value's column.
 _BARE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.,+:/()[]{}<>^=-"
-_TOKEN = r'([A-Za-z_][A-Za-z0-9_]*)=("(?:[^"\\]|\\.)*"|\S+)'
+_TOKEN = r'([A-Za-z_][A-Za-z0-9_]*)=("(?:[^"\\]|\\.)*"|"\S*|[' + re.escape(_BARE) + "]+)"
 
 
 def encode_value(value: str) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Mapping
 
@@ -186,7 +187,6 @@ class RegistryRef(GroupExpr):
         entry = registry_lookup(self.name)
         if not entry.known:
             raise UnknownCohomology(self.name)
-        assert entry.series is not None
         return entry.series
 
     def registry_names(self) -> Iterator[str]:
@@ -233,14 +233,16 @@ class FlipSquare(GroupExpr):
 
 
 class RegistryEntry(Value):
+    """A curated or synthetic entry; ``series`` is None exactly when the
+    entry is unknown, which ``Registry.from_json_text`` enforces."""
+
     name: str
-    status: str  # "known" | "unknown"
     series: PoincareSeries | None
     citation: str
 
     @property
     def known(self) -> bool:
-        return self.status == "known"
+        return self.series is not None
 
 
 # Names with no published computation resolve to synthetic unknown entries so
@@ -321,9 +323,7 @@ class Registry:
                 if "dims" in body:
                     raise RegistryDataError(f"{where}: unknown entries carry no dims")
                 series = None
-            entries[name] = RegistryEntry(
-                name=name, status=status, series=series, citation=citation
-            )
+            entries[name] = RegistryEntry(name=name, series=series, citation=citation)
         return cls(entries, version=version)
 
     @classmethod
@@ -359,29 +359,18 @@ class Registry:
             ranks = set(match.groups())
             if len(ranks) == 1 and int(match.group(1)) >= threshold:
                 return RegistryEntry(
-                    name=name,
-                    status="unknown",
-                    series=None,
-                    citation=template.format(r=match.group(1)),
+                    name=name, series=None, citation=template.format(r=match.group(1))
                 )
         raise NoSuchEntry(name)
 
 
-_registry_cache: Registry | None = None
-
-
+@lru_cache(maxsize=1)
 def default_registry() -> Registry:
-    global _registry_cache
-    if _registry_cache is None:
-        _registry_cache = Registry.load_default()
-    return _registry_cache
+    return Registry.load_default()
 
 
-def reset_default_registry() -> None:
-    """Drop the cached registry, so that the next lookup reads
-    ``TATEK_REGISTRY`` again: the one way to choose the registry."""
-    global _registry_cache
-    _registry_cache = None
+# The one way to choose the registry: the next lookup reads ``TATEK_REGISTRY`` again.
+reset_default_registry = default_registry.cache_clear
 
 
 def registry_lookup(name: str) -> RegistryEntry:

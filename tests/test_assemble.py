@@ -54,7 +54,7 @@ def test_tate_result_invariants():
 
 def test_contributions_itemized_phi_removal():
     for p in (5, 7, 11, 13):
-        rest = [c for c in tate_k(p, p + 1).contributions if c.descriptor.kind != "phi"]
+        rest = [c for c in tate_k(p, p + 1).contributions if c.label != "phi"]
         assert (sum(c.even for c in rest), sum(c.odd for c in rest)) == (3, 0)
 
 

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from tatek.modp import ClosureExceedsBound, StabiliserKind
 from tatek.orbits import NonIntegralOrbitCount, orbit_report
 from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
+from test_normalize_reference import lone_cycle_graph
 
 # Representative invocations of every documented subcommand, both formats.
 COMMANDS = [
@@ -413,6 +416,41 @@ def test_prime_above_bound_is_refused(argv, capsys):
         "error: PrimeTooLarge: p = 1000000000000000003 exceeds the supported bound "
         "100000000000\n"
     )
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "--name", "gl", "--p", "100003", "--class-number", "1"],
+        ["example", "--name", "sp", "--p", "100003", "--class-number", "1"],
+        # Unbounded, this one would compute 2^49999999988, about 6 GB.
+        ["example", "--name", "sp", "--p", "99999999977", "--class-number", "1"],
+    ],
+    ids=lambda argv: f"{argv[2]}_{argv[4]}",
+)
+def test_example_prime_above_bound_is_refused_before_any_work(argv):
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "tatek", *argv], capture_output=True, text=True,
+        env=child_env(), preexec_fn=_limit_memory, timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: ExamplePrimeTooLarge: ")
+    assert result.stderr.count("\n") == 1
+    assert elapsed < 1.0
+
+
+def test_example_prime_at_bound_runs(capsys):
+    code, out, err = _main_in_process(
+        capsys, "example", "--name", "gl", "--p", "4999", "--class-number", "1"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("Farrell-Tate K-theory of GL_4998(Z) at p=4999\n")
 
 
 def test_graph_json_prime_above_bound_is_refused(tmp_path, capsys):
@@ -810,6 +848,75 @@ def test_internal_faults_are_not_reported_as_domain_errors(error, monkeypatch, c
     code, out, err = _main_in_process(capsys, "orbits", "--p", "5")
     assert (code, out) == (cli.EXIT_INTERNAL_ERROR, "")
     assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+def test_registry_without_a_named_entry_is_a_domain_error(registry_override, capsys):
+    data = _bundled_registry()
+    del data["entries"]["AutF2"]
+    registry_override.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "tate", "--p", "5", "--n", "6")
+    assert (code, out, err) == (3, "", "error: NoSuchEntry: 'AutF2'\n")
+
+
+def test_graph_with_no_move_to_the_normal_form_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(graph_dumps(lone_cycle_graph(5, [2])), encoding="utf-8")
+    code, out, err = _main_in_process(capsys, "normalize", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: NormalizationError: the only edge orbit is a cycle of step 2; ")
+    assert err.count("\n") == 1
+
+
+# The exit code of every exception class of the package when a command raises
+# it: 3 for a domain error, 5 for a bug.  A new class fails the test below
+# until its line here says which it is.
+EXIT_CODE_OF_ERROR = {
+    "_value.FrozenInstanceError": 5,
+    "assemble.ExamplePrimeTooLarge": 3,
+    "assemble.NonIntegral": 5,
+    "classes.OutOfRange": 3,
+    "cli.DemoGraphTooLarge": 3,
+    "graphs.GraphStructureError": 3,
+    "graphs.GraphTooLarge": 3,
+    "graphs.InvalidGraph": 3,
+    "graphs.NormalizationError": 3,
+    "graphs.NotAForest": 3,
+    "graphs.NotComposable": 3,
+    "graphs.SameOrbit": 3,
+    "modp.ClosureExceedsBound": 5,
+    # Only a bug can combine matrices over two primes, but as a ValueError it
+    # exits 3 while the bare ValueError is a domain error.
+    "modp.ModulusMismatch": 3,
+    "modp.PrimeTooLarge": 3,
+    "orbits.NonIntegralOrbitCount": 5,
+    "orbits.OrbitPrimeTooLarge": 3,
+    "series.NoSuchEntry": 3,
+    "series.RegistryDataError": 3,
+    # Only ``tate_k`` reaches the code that raises it, and catches it there.
+    "series.UnknownCohomology": 5,
+}
+
+
+def _package_errors() -> dict[str, type]:
+    found, pending = {}, [Exception]
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        if cls.__module__.startswith("tatek."):
+            found[f"{cls.__module__.removeprefix('tatek.')}.{cls.__qualname__}"] = cls
+    return found
+
+
+def test_every_package_error_has_its_exit_code(monkeypatch, capsys):
+    def exit_code(cls):
+        def raising(args):
+            raise cls.__new__(cls)
+
+        monkeypatch.setattr(cli, "cmd_tate", raising)
+        return cli.main(["tate", "--p", "5", "--n", "6"])
+
+    codes = {name: exit_code(cls) for name, cls in _package_errors().items()}
+    assert codes == EXIT_CODE_OF_ERROR
 
 
 @pytest.mark.parametrize("module", ["tatek", "tatek.cli"])

@@ -294,8 +294,9 @@ def test_slide_same_orbit_rejected():
 def test_slide_endpoint_mismatch_rejected():
     g = canonical_graph(5, 1)
     cycle, loop = edge_orbit_refs(g)[0], edge_orbit_refs(g)[1]
+    end = g.attach[g.involution[loop.half_edge]]
     bad_t = G._halfedge_of_family_at(
-        g, cycle.half_edge, g.act_vertex(g.attach[g.involution[loop.half_edge]], 2)
+        g, cycle.half_edge, g.vertex_action[g.vertex_action[end]]
     )
     with pytest.raises(NotComposable):
         slide(g, loop, EdgeOrbitRef(bad_t))

@@ -284,7 +284,7 @@ def reference_normalize(g):
         raise AssertionError(f"normalization ended off normal form: steps {steps}")
     if rank(g) != input_rank:
         raise AssertionError("normalization changed the rank")
-    return NormalForm(p=g.p, loops_per_vertex=loops, rank=input_rank), tuple(moves)
+    return NormalForm(p=g.p, loops_per_vertex=loops), tuple(moves)
 
 
 # ---------------------------------------------------------------------------

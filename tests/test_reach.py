@@ -1,0 +1,147 @@
+"""Which functions of ``tatek`` real traffic never enters.
+
+One fresh interpreter traces every call under ``sys.setprofile``, from the
+import of the package on, while it runs in process:
+
+- every golden CLI invocation of ``test_golden_cli``, with its environment;
+- the seven graphs of ``bench/gen_graphs.py``, built as the benchmark builds
+  them, each written by ``graphs.dumps`` and read back by ``normalize --input``.
+
+A function is keyed by the file and first line of its code object, which a
+profile event also carries, and named by its qualified name.  The set of
+functions never entered must equal ``NEVER_ENTERED``: a function that traffic
+stops reaching, or a new one that it never reaches, fails the test until the
+map says why the function stays.  To print the set, run from the repository
+root::
+
+    PYTHONPATH=src:tests python tests/test_reach.py
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS_DIR = Path(__file__).resolve().parent
+SRC_DIR = TESTS_DIR.parent / "src"
+GEN_GRAPHS = TESTS_DIR.parent / "bench" / "gen_graphs.py"
+
+TRACER = "tracer target: bench/tracing.py wraps it"
+TEST_REFERENCE = "test reference: tests or the benchmark's output checks call it"
+ERROR_PATH = "error path: only bad input or a broken invariant reaches it"
+PROCESS_ENTRY = "process entry: in-process runs call cli.main instead"
+
+NEVER_ENTERED = {
+    "_value.Value.__delattr__": ERROR_PATH,
+    "_value.Value.__setattr__": ERROR_PATH,
+    "_value._shown": ERROR_PATH,
+    "cli.run": PROCESS_ENTRY,
+    "graphs.EquivariantGraph.geometric_orbit": TEST_REFERENCE,
+    "graphs.EquivariantGraph.orbit_rep": TEST_REFERENCE,
+    "graphs.EquivariantGraph.vertex_orbit_rep": TEST_REFERENCE,
+    "graphs.EquivariantGraph.vertex_orbits": TEST_REFERENCE,
+    "graphs.InvalidGraph.__init__": ERROR_PATH,
+    "graphs._Cycles.cycle": ERROR_PATH,
+    "graphs._Cycles.minimum": TEST_REFERENCE,
+    "graphs.collapse_orbit": TEST_REFERENCE,
+    "graphs.has_fixed_vertex": TEST_REFERENCE,
+    "graphs.isomorphic_single_orbit": TEST_REFERENCE,
+    "graphs.to_json_obj": TEST_REFERENCE,
+    "modp.Mat2P.apply": TEST_REFERENCE,
+    "modp.Mat2P.inverse": TEST_REFERENCE,
+    "modp.Mat2P.is_identity": TEST_REFERENCE,
+    "modp.Mat2P.power": TEST_REFERENCE,
+    "orbits.enumerate_orbits": TRACER,
+    "records.parse_record": TEST_REFERENCE,
+    "records.parse_records": TEST_REFERENCE,
+    "records.render_records": TEST_REFERENCE,
+    "series.FreeAbelian.__str__": TEST_REFERENCE,
+    "series.GroupExpr.series": ERROR_PATH,
+    "series.NoSuchEntry.__init__": ERROR_PATH,
+    "series.PoincareSeries.dims": TEST_REFERENCE,
+    "series.Registry.names": TEST_REFERENCE,
+}
+
+
+def _functions(module) -> dict[tuple[str, int], str]:
+    """(file, first line) -> qualified name of each function and method
+    defined in ``module``."""
+    short = module.__name__.removeprefix("tatek.")
+    found = []
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, type):
+            for member in vars(value).values():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    found += [f for f in (member.fget, member.fset, member.fdel) if f]
+                    continue
+                found.append(getattr(member, "func", member))  # cached_property
+        else:
+            found.append(value)
+    out = {}
+    for fn in found:
+        code = getattr(getattr(fn, "__wrapped__", fn), "__code__", None)  # lru_cache
+        if code is not None and code.co_filename == module.__file__:
+            out[code.co_filename, code.co_firstlineno] = f"{short}.{fn.__qualname__}"
+    return out
+
+
+def never_entered() -> list[str]:
+    """Run the traffic under the profiler and name each function never entered."""
+    import importlib.util
+    import pkgutil
+    import tempfile
+    from random import Random
+
+    codes = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(record)
+    import tatek.cli  # loads every layer, as a ``tatek`` process does
+
+    # The test helpers are loaded untraced: only the traffic counts.  The
+    # generator is loaded as ``test_normalize_reference`` loads it, without
+    # importing that module and Hypothesis with it.
+    sys.setprofile(None)
+    from test_golden_cli import INVOCATIONS, run_main
+
+    spec = importlib.util.spec_from_file_location("bench_gen_graphs", GEN_GRAPHS)
+    gen_graphs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_graphs)
+
+    sys.setprofile(record)
+    try:
+        for argv in INVOCATIONS:
+            run_main(argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            for index, config in enumerate(gen_graphs.GRAPH_CONFIGS):
+                path = os.path.join(tmp, f"graph{index}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(tatek.graphs.dumps(gen_graphs.scrambled(*config, Random(1))))
+                assert run_main(["normalize", "--input", path])["exit"] == 0
+    finally:
+        sys.setprofile(None)
+    entered = {(code.co_filename, code.co_firstlineno) for code in codes}
+    functions = {}
+    for info in pkgutil.iter_modules(tatek.__path__, "tatek."):
+        if info.name != "tatek.__main__":  # importing it would run the CLI
+            functions.update(_functions(importlib.import_module(info.name)))
+    return sorted(name for key, name in functions.items() if key not in entered)
+
+
+def test_traffic_enters_every_function_but_those_named():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR), str(TESTS_DIR)]))
+    result = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == sorted(NEVER_ENTERED)
+
+
+if __name__ == "__main__":
+    print(json.dumps(never_entered(), indent=1))

@@ -104,3 +104,28 @@ def test_malformed_line_rejected():
 def test_malformed_token_rejected(line, column):
     with pytest.raises(ValueError, match=f"^malformed record at column {column}: "):
         parse_record(line)
+
+
+@pytest.mark.parametrize(
+    "line, column",
+    [('a=x"y', 3), ("a=é", 0), ("a=x\\y", 3), ("a=#", 0)],
+    ids=["quote_inside", "non_ascii", "backslash", "hash"],
+)
+def test_bare_value_outside_the_bare_set_rejected(line, column):
+    with pytest.raises(ValueError, match=f"^malformed record at column {column}: "):
+        parse_record(line)
+
+
+@given(st.text().filter(lambda v: not v.startswith('"') and not any(c.isspace() for c in v)))
+@example('x"y')
+@example("é")
+@example("x\\y")
+@example("#")
+@example("[[0,1],[1,0]]")
+def test_parsed_bare_value_renders_back(value):
+    # Text that parses re-renders byte for byte; anything else is refused.
+    try:
+        parsed = parse_record("a=" + value)
+    except ValueError:
+        return
+    assert render_record(parsed) == "a=" + value

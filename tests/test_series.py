@@ -121,7 +121,7 @@ def test_registry_examples():
     assert registry_lookup("RoseCentralizerCore_n=l+3").series.dims() == {0: 1, 4: 1}
     assert registry_lookup("OutF7").series.dims() == {0: 1, 8: 1, 11: 1}
     entry = registry_lookup("F4SemidirectAutF4_Z2invariants")
-    assert entry.status == "unknown" and entry.series is None
+    assert not entry.known and entry.series is None
 
 
 def test_registry_unknown_poisons():
@@ -136,9 +136,9 @@ def test_registry_no_such_entry():
 
 
 def test_registry_dynamic_unknowns():
-    assert registry_lookup("AutF9").status == "unknown"
-    assert registry_lookup("OutF12").status == "unknown"
-    assert registry_lookup("F6SemidirectAutF6_Z2invariants").status == "unknown"
+    assert not registry_lookup("AutF9").known
+    assert not registry_lookup("OutF12").known
+    assert not registry_lookup("F6SemidirectAutF6_Z2invariants").known
     # Below the thresholds the explicit entries (or nothing) decide.
     with pytest.raises(NoSuchEntry):
         registry_lookup("OutF1")
@@ -180,9 +180,9 @@ def test_synthetic_unknown_names(name, citation):
             registry.lookup(name)
     else:
         entry = registry.lookup(name)
-        assert (entry.name, entry.status, entry.series, entry.citation) == (
+        assert (entry.name, entry.known, entry.series, entry.citation) == (
             name,
-            "unknown",
+            False,
             None,
             citation,
         )
