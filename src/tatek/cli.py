@@ -18,11 +18,11 @@ Exit codes:
 
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import sys
 from types import SimpleNamespace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
 from ._value import Value
@@ -559,25 +559,29 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
-def run() -> int:
+def run() -> NoReturn:
     """The process entry of ``python -m tatek``, the ``tatek`` script and this
-    file: ``main()``, then stdout flushed.  Whatever the exit, every object
-    left is frozen, so the interpreter's shutdown collections have nothing to
-    walk.  ``main`` itself never freezes: in-process callers keep collecting."""
+    file: ``main()``, both streams flushed, the exit functions run, then
+    ``os._exit``, so the interpreter tears nothing down.  Only ``run`` ends
+    the process; ``main`` returns its code to in-process callers."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
-        # Point stdout at devnull so the interpreter's final flush of what is
-        # still buffered stays silent.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
-    finally:
-        gc.freeze()
+        # What is still buffered goes with the process.
+        code = EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # A failed flush is reported as main reports a failed write.
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        code = EXIT_INTERNAL_ERROR
+    sys.stderr.flush()
+    # Tools such as coverage write their data from atexit handlers.
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

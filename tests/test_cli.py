@@ -953,49 +953,112 @@ def _exit_code(call):
         return exc.code
 
 
+class _Exit(BaseException):
+    """Raised in place of ``os._exit``, with the code it was given."""
+
+
+@pytest.fixture
+def exit_steps(monkeypatch):
+    """``run``'s last steps in order: the exit functions, then ``os._exit``,
+    which raises ``_Exit``; ``_run_process_entry`` adds the flushes."""
+    steps = []
+
+    def exit_(code):
+        steps.append(("_exit", code))
+        raise _Exit(code)
+
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: steps.append("exit functions"))
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    return steps
+
+
+def _run_process_entry(monkeypatch, argv, steps) -> int:
+    # The streams are patched here, in the test's body, where capsys has
+    # already put its own in place.
+    monkeypatch.setattr(sys.stdout, "flush", lambda: steps.append("flush stdout"))
+    monkeypatch.setattr(sys.stderr, "flush", lambda: steps.append("flush stderr"))
+    monkeypatch.setattr(sys, "argv", ["tatek", *argv])
+    with pytest.raises(_Exit) as raised:
+        cli.run()
+    return raised.value.args[0]
+
+
 @pytest.mark.parametrize("argv, code", _EXIT_PATHS.values(), ids=_EXIT_PATHS)
-def test_run_freezes_once_on_every_exit_and_main_never(argv, code, monkeypatch, capsys):
+def test_run_ends_the_process_with_mains_code_and_main_never(
+    argv, code, exit_steps, monkeypatch
+):
     def broken(graph):
         raise AssertionError("only the internal_error path normalizes")
 
-    freezes = []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
     monkeypatch.setattr(cli, "normalize", broken)
     assert _exit_code(lambda: cli.main(list(argv))) == code
-    assert freezes == []
-    monkeypatch.setattr(sys, "argv", ["tatek", *argv])
-    assert _exit_code(cli.run) == code
-    assert len(freezes) == 1
+    assert exit_steps == []
+    assert _run_process_entry(monkeypatch, argv, exit_steps) == code
+    assert exit_steps == ["flush stdout", "flush stderr", "exit functions", ("_exit", code)]
 
 
 class _ClosedPipe(io.TextIOBase):
-    """A stdout whose reader has gone, on a file descriptor of its own."""
-
-    def __init__(self, fd):
-        self.fd = fd
+    """A stdout whose reader has gone."""
 
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
 
-    def fileno(self):
-        return self.fd
 
-
-def test_run_on_a_closed_stdout_freezes_and_points_it_at_devnull(
-    tmp_path, monkeypatch, capsys
-):
-    freezes = []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
-    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-    try:
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
-        monkeypatch.setattr(sys, "argv", ["tatek", "tate", "--p", "11", "--n", "12"])
-        assert cli.run() == cli.EXIT_BROKEN_PIPE
-        assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev
-    finally:
-        os.close(fd)
-    assert len(freezes) == 1
+def test_run_on_a_closed_stdout_exits_141_without_stderr(exit_steps, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    argv = ["tate", "--p", "11", "--n", "12"]
+    assert _run_process_entry(monkeypatch, argv, exit_steps) == 141
+    assert exit_steps == ["flush stderr", "exit functions", ("_exit", 141)]
     assert capsys.readouterr().err == ""
+
+
+def buffered_child_env():
+    """``child_env()`` without PYTHONUNBUFFERED: the child's stdout is block
+    buffered, as it is for a user, and only a flush writes its last block."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_run_calls_the_exit_functions(tmp_path):
+    # Tools such as coverage write their data from an atexit handler.
+    mark = tmp_path / "exit_function_ran"
+    script = (
+        "import atexit, pathlib, sys\n"
+        "from tatek import cli\n"
+        f"atexit.register(pathlib.Path({str(mark)!r}).write_text, 'ran')\n"
+        "sys.argv = ['tatek', 'tate', '--p', '3', '--n', '9']\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=buffered_child_env()
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: OutOfRange: ")
+    assert mark.read_text() == "ran"
+
+
+def test_run_writes_every_buffered_byte(capsys):
+    # About 1.5 MB of records, far more than one buffer: a missing flush of
+    # the last block would show as a short stdout.
+    argv = ["orbits", "--p", "211", "--list", "--format", "records"]
+    code, out, err = _main_in_process(capsys, *argv)
+    result = subprocess.run(
+        [sys.executable, "-m", "tatek", *argv], capture_output=True, env=buffered_child_env()
+    )
+    assert len(out) > 1_000_000
+    assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_failed_flush_of_stdout_is_one_internal_error_line():
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "tatek", "orbits", "--p", "5"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=buffered_child_env(),
+        )
+    assert result.returncode == cli.EXIT_INTERNAL_ERROR
+    assert result.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
 
 
 def test_installed_script_goes_through_run():

@@ -1,6 +1,7 @@
 """Golden CLI outputs: stdout, stderr and exit code of every invocation below,
 replayed in process through ``cli.main`` and compared byte for byte with the
-fixtures in ``tests/data/golden_cli/``.
+fixtures in ``tests/data/golden_cli/``.  A few of them are also run as
+``python -m tatek`` processes, through the process entry ``cli.run``.
 
 The fixtures were captured from the code before the CLI was restructured.  To
 record them again after an intended output change, run from the repository
@@ -16,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -171,6 +173,38 @@ def test_invocation_names_are_unique():
 def test_cli_output_matches_golden(argv):
     expected = json.loads((GOLDEN_DIR / f"{fixture_name(argv)}.json").read_text(encoding="utf-8"))
     assert run_main(argv) == expected
+
+
+# Exits 0, 2, 3 and 4, argparse's stdout and stderr, and both formats.
+THROUGH_A_PROCESS = [
+    "help",
+    "version",
+    "no_arguments",
+    "tate_p_5",
+    "orbits_p_2003",
+    "tate_p_7_n_11_format_records",
+    "table_which_4_format_text",
+    "selftest_max-p_13_format_records",
+    "orbits_p_7_kind_theta_list_format_text",
+]
+
+
+@pytest.mark.parametrize("name", THROUGH_A_PROCESS)
+def test_process_output_matches_golden(name):
+    """The fixture, written by a ``python -m tatek`` process: the bundled
+    registry, an 80-column terminal and a block-buffered stdout."""
+    from test_cli import buffered_child_env
+
+    expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    env = buffered_child_env()
+    env.pop(REGISTRY_ENV_VAR, None)
+    env["COLUMNS"] = "80"
+    result = subprocess.run(
+        [sys.executable, "-m", "tatek", *expected["argv"]], capture_output=True, env=env
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        expected["exit"], expected["stdout"].encode(), expected["stderr"].encode()
+    )
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
