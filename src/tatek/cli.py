@@ -11,9 +11,11 @@ Exit codes:
   2  usage error
   3  domain error (the module error name is printed verbatim)
   4  the requested result is entirely unknown
-  5  internal error (a bug in tatek, not in the input)
-  141  stdout was closed before the output ended; nothing is written to
-       stderr (128 + SIGPIPE, what a shell reports for ``cat`` there)
+  5  internal error (a bug in tatek, not in the input), or a write or
+     flush of stdout or stderr that failed for another reason than 141's
+  141  stdout or stderr was closed by its reader before the output ended;
+       nothing more is written to stderr (128 + SIGPIPE, what a shell
+       reports for ``cat`` there)
 """
 
 from __future__ import annotations
@@ -559,27 +561,39 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+def _fault_code(exc: Exception) -> int:
+    """The code of an exception that reached ``run``: 141 for a closed pipe,
+    else 5, with one ``internal error`` line if stderr still takes it."""
+    if isinstance(exc, BrokenPipeError):
+        return EXIT_BROKEN_PIPE
+    try:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+    except Exception:
+        pass  # stderr is what failed: full, closed or gone
+    return EXIT_INTERNAL_ERROR
+
+
 def run() -> NoReturn:
     """The process entry of ``python -m tatek``, the ``tatek`` script and this
-    file: ``main()``, both streams flushed, the exit functions run, then
-    ``os._exit``, so the interpreter tears nothing down.  Only ``run`` ends
-    the process; ``main`` returns its code to in-process callers."""
+    file: ``main()``, then the interpreter's own shutdown order (the exit
+    functions, then the flush of stdout, then of stderr), then ``os._exit``,
+    so the interpreter tears nothing down.  No exception leaves ``run``: a
+    failed write or flush on either stream exits 141 for a closed pipe and 5
+    for any other fault, the last fault deciding.  Only ``run`` ends the
+    process; ``main`` returns its code to in-process callers."""
     try:
-        try:
-            code = main()
-        except SystemExit as exc:
-            code = exc.code
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # What is still buffered goes with the process.
-        code = EXIT_BROKEN_PIPE
-    except OSError as exc:
-        # A failed flush is reported as main reports a failed write.
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        code = EXIT_INTERNAL_ERROR
-    sys.stderr.flush()
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        code = _fault_code(exc)
     # Tools such as coverage write their data from atexit handlers.
     atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except Exception as exc:
+            code = _fault_code(exc)
     os._exit(code)
 
 

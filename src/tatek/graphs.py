@@ -4,11 +4,12 @@ Graphs are stored combinatorially with half-edges: a fixed-point-free
 involution pairs the two half-edges of each geometric edge, an attachment map
 sends half-edges to vertices, and the Z/p action is a pair of permutations
 (vertices, half-edges) commuting with both.  All moves are whole-orbit and
-atomic: a single call collapses or slides an entire Z/p-orbit of edges, so
+atomic: a single move collapses or slides an entire Z/p-orbit of edges, so
 equivariance can never be transiently broken.  Graphs are immutable; the
 public moves return new graphs.  Collapse and slide run on one private
-mutable working copy, ``_WorkingGraph``: a public move loads it, applies
-itself and freezes the result, and ``normalize`` applies its whole move
+mutable working copy, ``_WorkingGraph``: ``slide`` and ``replay`` (a move
+log, such as one collapse ``[Move("collapse", h)]``) load it, apply the
+moves and freeze the result, and ``normalize`` applies its whole move
 sequence to a single working copy and freezes only the normal form.
 ``scramble_graph``, which builds demo and test graphs by inverse moves, runs
 all its slides on one working copy and freezes it once, keeping no trace of
@@ -126,9 +127,6 @@ class _Cycles:
     def cycle(self, x: int) -> tuple[int, ...]:
         return self.cycles[self.cycle_id[x]]
 
-    def minimum(self, x: int) -> int:
-        return self.cycles[self.cycle_id[x]][0]
-
 
 class EquivariantGraph(Value):
     """A finite graph together with a Z/p action given by two permutations."""
@@ -182,8 +180,9 @@ class EquivariantGraph(Value):
 
     @cached_property
     def _edge_orbit_reps(self) -> tuple[int, ...]:
-        """Each half-edge's edge-orbit representative, min(geometric_orbit(h)):
-        the smaller of the cycle minima of h and of its partner."""
+        """Each half-edge's edge-orbit representative, the least half-edge of
+        the Z/p-orbit of its geometric edge: the smaller of the cycle minima
+        of h and of its partner."""
         cycles = self._half_edge_cycles
         minimum = list(map([c[0] for c in cycles.cycles].__getitem__, cycles.cycle_id))
         return tuple(map(min, minimum, map(minimum.__getitem__, self.involution)))
@@ -200,29 +199,6 @@ class EquivariantGraph(Value):
 
     def half_edges_at(self, v: int) -> list[int]:
         return [h for h in range(self.n_half_edges) if self.attach[h] == v]
-
-    # -- orbits ------------------------------------------------------------
-
-    def vertex_orbits(self) -> list[tuple[int, ...]]:
-        """Each vertex cycle from its smallest vertex, by that vertex."""
-        return list(self._vertex_cycles.cycles)
-
-    def vertex_orbit_rep(self, v: int) -> int:
-        return self._vertex_cycles.minimum(v)
-
-    def geometric_orbit(self, h: int) -> tuple[int, ...]:
-        """All half-edges of the Z/p-orbit of the geometric edge through h."""
-        out: set[int] = set()
-        for start in (h, self.involution[h]):
-            x = start
-            while x not in out:
-                out.add(x)
-                x = self.half_edge_action[x]
-        return tuple(sorted(out))
-
-    def orbit_rep(self, h: int) -> int:
-        """min(geometric_orbit(h)) in O(1), from the cached representatives."""
-        return self._edge_orbit_reps[h]
 
 
 class EdgeOrbitRef(Value):
@@ -346,11 +322,6 @@ def rank(g: EquivariantGraph) -> int:
     return g.n_edges - g.n_vertices + 1
 
 
-def has_fixed_vertex(g: EquivariantGraph) -> bool:
-    """True iff some nontrivial power of the action fixes a vertex."""
-    return _first_vertex_fixing_power(g) is not None
-
-
 # ---------------------------------------------------------------------------
 # Moves
 
@@ -370,11 +341,10 @@ class _WorkingGraph:
 
     Once compact, a working graph has the fields of an ``EquivariantGraph``
     (``p``, ``involution``, ``attach``, ``vertex_action``,
-    ``half_edge_action``, ``n_vertices``, ``n_half_edges``, ``orbit_rep``,
-    ``vertex_orbit_rep``), so the module's read-only helpers accept it.  The
-    moves raise the errors of the public moves, with the working graph's
-    indices in their messages: :meth:`apply` compacts first, so these are the
-    caller's.
+    ``half_edge_action``, ``n_vertices``, ``n_half_edges``), so the module's
+    read-only helpers accept it.  The moves raise the errors of the public
+    moves, with the working graph's indices in their messages: :meth:`apply`
+    compacts first, so these are the caller's.
     """
 
     __slots__ = (
@@ -427,6 +397,9 @@ class _WorkingGraph:
         return self._live.count(1, 0, h)
 
     def collapse(self, h0: int) -> None:
+        """Contract the p disjoint edges of h0's orbit, an equivariant forest
+        joining two vertex orbits: p vertices go and the rank stays.
+        :class:`NotAForest` if the orbit is loops or joins an orbit to itself."""
         inv = self.involution
         u = self._find(self.attach[h0])
         w = self._find(self.attach[inv[h0]])
@@ -529,19 +502,6 @@ class _WorkingGraph:
         )
 
 
-def collapse_orbit(g: EquivariantGraph, e: EdgeOrbitRef) -> EquivariantGraph:
-    """Collapse an equivariant forest: one edge orbit joining two vertex orbits.
-
-    The p edges of the orbit are pairwise disjoint (free action), each is
-    contracted, and the vertex count drops by p while the rank is unchanged.
-    Raises :class:`NotAForest` if the orbit contains a loop or joins a vertex
-    orbit to itself (contracting it would close a cycle).
-    """
-    work = _WorkingGraph(g)
-    work.collapse(e.half_edge)
-    return work.freeze()
-
-
 def expand_orbit(
     g: EquivariantGraph, vertex: int, moved: Iterable[int]
 ) -> tuple[EquivariantGraph, EdgeOrbitRef]:
@@ -638,21 +598,6 @@ def unoriented_step(g: EquivariantGraph, h: int) -> int:
 def orbit_step_multiset(g: EquivariantGraph) -> list[int]:
     """Sorted unoriented steps of all edge orbits (single vertex orbit only)."""
     return sorted(unoriented_step(g, r.half_edge) for r in edge_orbit_refs(g))
-
-
-def isomorphic_single_orbit(g1: EquivariantGraph, g2: EquivariantGraph) -> bool:
-    """Equivariant isomorphism test for free single-vertex-orbit graphs.
-
-    Such a graph is determined up to equivariant isomorphism by p and the
-    multiset of unoriented orbit steps: every orbit has exactly one half-edge
-    pair based at each vertex, and matching orbits of equal step (choosing
-    orientations) extends uniquely to an equivariant isomorphism.
-    """
-    if g1.p != g2.p:
-        return False
-    if not (_single_vertex_orbit(g1) and _single_vertex_orbit(g2)):
-        raise GraphStructureError("isomorphism test requires single vertex orbits")
-    return orbit_step_multiset(g1) == orbit_step_multiset(g2)
 
 
 def canonical_graph(p: int, k: int) -> EquivariantGraph:
@@ -968,19 +913,6 @@ def random_valid_graph(
 # File format
 
 
-def to_json_obj(g: EquivariantGraph) -> dict:
-    return {
-        "p": g.p,
-        "vertices": g.n_vertices,
-        "half_edges": [
-            {"id": h, "partner": g.involution[h], "vertex": g.attach[h]}
-            for h in range(g.n_half_edges)
-        ],
-        "vertex_action": list(g.vertex_action),
-        "half_edge_action": list(g.half_edge_action),
-    }
-
-
 def _check_list(value, name: str) -> list:
     """Refuse a JSON value of the wrong shape before indexing into it."""
     if not isinstance(value, list):
@@ -1027,7 +959,7 @@ def from_json_obj(obj: dict) -> EquivariantGraph:
 
 
 # One half-edge record and one integer of a graph file, at the depth and
-# indent that ``json.dumps(to_json_obj(g), indent=2, sort_keys=True)`` gives.
+# indent that ``json.dumps(..., indent=2, sort_keys=True)`` gives them.
 _HALF_EDGE_RECORD = '    {\n      "id": %d,\n      "partner": %d,\n      "vertex": %d\n    }'
 _LIST_INT = "    %d"
 
@@ -1039,10 +971,11 @@ def _json_list(items: Iterable[str]) -> str:
 
 
 def dumps(g: EquivariantGraph) -> str:
-    """The graph file: ``json.dumps(to_json_obj(g), indent=2, sort_keys=True)``
-    plus a newline, byte for byte.  Every field is an exact ``int``, so each
-    list is formatted in one pass of ``%`` over its values, not by the
-    per-value Python encoder that ``indent`` selects."""
+    """The graph file: the object that ``from_json_obj`` reads, as
+    ``json.dumps(obj, indent=2, sort_keys=True)`` lays it out, plus a
+    newline, byte for byte.  Every field is an exact ``int``, so each list is
+    formatted in one pass of ``%`` over its values, not by the per-value
+    Python encoder that ``indent`` selects."""
     records = map(_HALF_EDGE_RECORD.__mod__, zip(range(g.n_half_edges), g.involution, g.attach))
     return (
         f'{{\n  "half_edge_action": {_json_list(map(_LIST_INT.__mod__, g.half_edge_action))},\n'

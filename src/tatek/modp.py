@@ -85,36 +85,6 @@ class Mat2P(Value):
     def __mul__(self, other: "Mat2P") -> "Mat2P":
         return mat_mul(self, other)
 
-    def inverse(self) -> "Mat2P":
-        inv_det = pow(self.det_value, self.p - 2, self.p)
-        return Mat2P(
-            self.d * inv_det,
-            -self.b * inv_det,
-            -self.c * inv_det,
-            self.a * inv_det,
-            self.p,
-        )
-
-    def power(self, k: int) -> "Mat2P":
-        if k < 0:
-            return self.inverse().power(-k)
-        result = Mat2P.identity(self.p)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        """Left action on a column vector (l, m)."""
-        l, m = v
-        return ((self.a * l + self.b * m) % self.p, (self.c * l + self.d * m) % self.p)
-
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
     def key(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 

@@ -61,9 +61,6 @@ class PoincareSeries(Value):
                 cleaned[degree] = dim
         return cls(tuple(sorted(cleaned.items())))
 
-    def dims(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def dim(self, degree: int) -> int:
         for d, v in self.pairs:
             if d == degree:
@@ -344,9 +341,6 @@ class Registry:
             .read_text(encoding="utf-8")
         )
         return cls.from_json_text(text)
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)
 
     def lookup(self, name: str) -> RegistryEntry:
         entry = self._entries.get(name)

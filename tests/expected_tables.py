@@ -6,6 +6,7 @@ of nonzero fixed vectors at p = 2, at p = 3, and a callable for the generic
 count at p >= 5.
 """
 
+from oracles import mat_power
 from tatek.modp import (
     Mat2P,
     StabiliserKind,
@@ -73,7 +74,7 @@ def row_matrices(kind: StabiliserKind, p: int) -> list[Mat2P]:
     rot = _ROTATIONS[kind](p)
     swap = coordinate_swap(p)
     order = ROTATION_ORDER[kind]
-    rotations = [rot.power(k) for k in range(order)]
+    rotations = [mat_power(rot, k) for k in range(order)]
     return rotations + [r * swap for r in rotations]
 
 

@@ -1,0 +1,69 @@
+"""Pure references that the tests read beside the package.
+
+Each computes, the slow and obvious way, something the package holds in
+another form: the graph file's JSON object, an edge orbit walked out step by
+step, the isomorphism test of single-orbit graphs, and the column action and
+powers of a matrix over Z/p.
+"""
+
+from tatek.graphs import GraphStructureError, _single_vertex_orbit, orbit_step_multiset
+from tatek.modp import Mat2P
+
+
+def to_json_obj(g) -> dict:
+    """The graph file's object: ``graphs.dumps`` must write it as
+    ``json.dumps(obj, indent=2, sort_keys=True)`` does, and the test fixtures
+    edit it to build bad graph files."""
+    return {
+        "p": g.p,
+        "vertices": g.n_vertices,
+        "half_edges": [
+            {"id": h, "partner": g.involution[h], "vertex": g.attach[h]}
+            for h in range(g.n_half_edges)
+        ],
+        "vertex_action": list(g.vertex_action),
+        "half_edge_action": list(g.half_edge_action),
+    }
+
+
+def geometric_orbit(g, h) -> tuple[int, ...]:
+    """All half-edges of the Z/p-orbit of the geometric edge through h."""
+    out: set[int] = set()
+    for start in (h, g.involution[h]):
+        x = start
+        while x not in out:
+            out.add(x)
+            x = g.half_edge_action[x]
+    return tuple(sorted(out))
+
+
+def isomorphic_single_orbit(g1, g2) -> bool:
+    """Equivariant isomorphism test for free single-vertex-orbit graphs.
+
+    Such a graph is determined up to equivariant isomorphism by p and the
+    multiset of unoriented orbit steps: every orbit has exactly one half-edge
+    pair based at each vertex, and matching orbits of equal step (choosing
+    orientations) extends uniquely to an equivariant isomorphism.
+    """
+    if g1.p != g2.p:
+        return False
+    if not (_single_vertex_orbit(g1) and _single_vertex_orbit(g2)):
+        raise GraphStructureError("isomorphism test requires single vertex orbits")
+    return orbit_step_multiset(g1) == orbit_step_multiset(g2)
+
+
+def mat_apply(m: Mat2P, v: tuple[int, int]) -> tuple[int, int]:
+    """Left action on a column vector (l, m)."""
+    l, n = v
+    return ((m.a * l + m.b * n) % m.p, (m.c * l + m.d * n) % m.p)
+
+
+def mat_power(m: Mat2P, k: int) -> Mat2P:
+    """m to the power k >= 0, by repeated squaring."""
+    result = Mat2P.identity(m.p)
+    while k:
+        if k & 1:
+            result = result * m
+        m = m * m
+        k >>= 1
+    return result

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 from expected_tables import ROWS, expected_count, row_matrices
+from oracles import isomorphic_single_orbit
 from test_graphs import single_orbit_graph
 from test_normalize_reference import reference_random_valid_graph
 
@@ -28,11 +29,10 @@ from tatek.assemble import (
 from tatek.classes import OutOfRange
 from tatek.graphs import (
     EdgeOrbitRef,
-    collapse_orbit,
+    Move,
     edge_orbit_refs,
     expand_orbit,
     is_canonical_form,
-    isomorphic_single_orbit,
     normalize,
     random_valid_graph,
     rank,
@@ -208,7 +208,7 @@ def _slide_via_expansion(g, s: EdgeOrbitRef, t: EdgeOrbitRef):
     expanded, _ = expand_orbit(
         g, meeting_vertex, [g.involution[s.half_edge], t.half_edge]
     )
-    return collapse_orbit(expanded, t)
+    return replay(expanded, [Move("collapse", t.half_edge)])
 
 
 def test_criterion_08_graph_property_suite():

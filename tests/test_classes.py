@@ -89,12 +89,12 @@ def test_out_of_range():
 
 def test_centraliser_theta11_is_acyclic():
     (c,) = [c for c in order_p_classes(5, 6).classes if c.label == "theta(1,1)"]
-    assert series_of(centraliser_of(c)).dims() == {0: 1}
+    assert dict(series_of(centraliser_of(c)).pairs) == {0: 1}
 
 
 def test_centraliser_phi_from_orbit_counts():
     (c,) = [c for c in order_p_classes(13, 14).classes if c.kind == "phi"]
-    assert series_of(centraliser_of(c)).dims() == {0: 1, 1: 2}
+    assert dict(series_of(centraliser_of(c)).pairs) == {0: 1, 1: 2}
 
 
 def test_centraliser_rose_hits_unknown_at_core_rank_four():
@@ -135,7 +135,7 @@ def test_special_case_2_2_is_four_acyclic_classes():
     assert len(class_list.classes) == 4
     for c in class_list.classes:
         assert c.kind == AMALGAM
-        assert series_of(centraliser_of(c)).dims() == {0: 1}
+        assert dict(series_of(centraliser_of(c)).pairs) == {0: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ from tatek.graphs import (
     EquivariantGraph,
     canonical_graph,
     dumps as graph_dumps,
-    to_json_obj,
 )
 from tatek.modp import ClosureExceedsBound, StabiliserKind
 from tatek.orbits import NonIntegralOrbitCount, orbit_report
 from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
+from oracles import to_json_obj
 from test_normalize_reference import lone_cycle_graph
 
 # Representative invocations of every documented subcommand, both formats.
@@ -960,7 +960,8 @@ class _Exit(BaseException):
 @pytest.fixture
 def exit_steps(monkeypatch):
     """``run``'s last steps in order: the exit functions, then ``os._exit``,
-    which raises ``_Exit``; ``_run_process_entry`` adds the flushes."""
+    which raises ``_Exit``; ``_run_process_entry`` adds the flushes between
+    them."""
     steps = []
 
     def exit_(code):
@@ -994,7 +995,7 @@ def test_run_ends_the_process_with_mains_code_and_main_never(
     assert _exit_code(lambda: cli.main(list(argv))) == code
     assert exit_steps == []
     assert _run_process_entry(monkeypatch, argv, exit_steps) == code
-    assert exit_steps == ["flush stdout", "flush stderr", "exit functions", ("_exit", code)]
+    assert exit_steps == ["exit functions", "flush stdout", "flush stderr", ("_exit", code)]
 
 
 class _ClosedPipe(io.TextIOBase):
@@ -1008,7 +1009,7 @@ def test_run_on_a_closed_stdout_exits_141_without_stderr(exit_steps, monkeypatch
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     argv = ["tate", "--p", "11", "--n", "12"]
     assert _run_process_entry(monkeypatch, argv, exit_steps) == 141
-    assert exit_steps == ["flush stderr", "exit functions", ("_exit", 141)]
+    assert exit_steps == ["exit functions", "flush stdout", "flush stderr", ("_exit", 141)]
     assert capsys.readouterr().err == ""
 
 
@@ -1059,6 +1060,57 @@ def test_failed_flush_of_stdout_is_one_internal_error_line():
         )
     assert result.returncode == cli.EXIT_INTERNAL_ERROR
     assert result.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
+
+
+def test_exit_functions_print_before_the_last_flush():
+    # CPython's own shutdown order: exit functions, then the stdio flushes.
+    script = (
+        "import atexit, sys\n"
+        "from tatek import cli\n"
+        "atexit.register(print, 'bye')\n"
+        "sys.argv = ['tatek', '--version']\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=buffered_child_env()
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "tatek 0.1.0\nbye\n", "")
+
+
+# A stderr that takes no write: paths that write nothing there keep their
+# code, and every other path exits 5 without a line.
+_UNWRITABLE_STDERR = {
+    "success": (["tate", "--p", "11", "--n", "12"], 0),
+    "domain_error": (["tate", "--p", "3", "--n", "9"], 5),
+    "all_unknown": (["rational", "--p", "5", "--n", "8"], 4),
+    "usage_error": (["tate", "--p", "11"], 5),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv, code", _UNWRITABLE_STDERR.values(), ids=_UNWRITABLE_STDERR)
+def test_stderr_on_a_full_device_exits_with_one_code(argv, code, capsys):
+    _exit_code(lambda: cli.main(list(argv)))
+    out = capsys.readouterr().out
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "tatek", *argv],
+            stdout=subprocess.PIPE, stderr=full, text=True, env=buffered_child_env(),
+        )
+    assert (result.returncode, result.stdout) == (code, out)
+
+
+def test_stderr_closed_by_its_reader_exits_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tatek", "tate", "--p", "3", "--n", "9"],
+            stdout=subprocess.PIPE, stderr=write_end, env=buffered_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def test_installed_script_goes_through_run():

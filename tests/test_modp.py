@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import mat_apply, mat_power
 from tatek.modp import (
     MAX_PRIME,
     ClosureExceedsBound,
@@ -52,8 +53,8 @@ def test_order_six_example_matrix():
     for _ in range(5):
         power = mat_mul(power, m)
     assert power == Mat2P.identity(7)
-    assert m.power(6).is_identity()
-    assert not m.power(3).is_identity()
+    assert mat_power(m, 6) == power
+    assert (m * m * m).key() != (1, 0, 0, 1)
 
 
 def test_mat_mul_modulus_mismatch():
@@ -78,7 +79,7 @@ def test_determinant_multiplicative():
 
 def test_apply_is_the_column_action():
     m = Mat2P(0, 1, -1, 1, 5)
-    assert m.apply((2, 3)) == (3, 1)  # (m, m - l)
+    assert mat_apply(m, (2, 3)) == (3, 1)  # (m, m - l)
 
 
 def test_closure_of_identity():
@@ -113,7 +114,7 @@ def test_closure_contains_inverses_and_identity():
         keys = {m.key() for m in group.elements}
         assert Mat2P.identity(11).key() in keys
         for m in group.elements:
-            assert m.inverse().key() in keys
+            assert any((m * y).key() == (1, 0, 0, 1) for y in group.elements)
             for y in group.elements:
                 assert mat_mul(m, y).key() in keys
 
@@ -158,8 +159,8 @@ def test_determinants_are_plus_minus_one():
 
 def test_rotation_relations():
     for p in (2, 3, 5, 7, 13):
-        assert quarter_turn(p).power(2) == negate_both(p)
-        assert sixth_turn(p).power(3) == negate_both(p)
+        assert quarter_turn(p) * quarter_turn(p) == negate_both(p)
+        assert sixth_turn(p) * sixth_turn(p) * sixth_turn(p) == negate_both(p)
 
 
 def test_check_prime_refuses_moduli_above_the_bound():

@@ -11,8 +11,10 @@ A function is keyed by the file and first line of its code object, which a
 profile event also carries, and named by its qualified name.  The set of
 functions never entered must equal ``NEVER_ENTERED``: a function that traffic
 stops reaching, or a new one that it never reaches, fails the test until the
-map says why the function stays.  To print the set, run from the repository
-root::
+map says why the function stays.  Four reasons hold: an error path, the
+process entry, a target of the benchmark's tracer, and library API that the
+README names.  A function that only tests call has none of them and belongs
+in ``tests/``.  To print the set, run from the repository root::
 
     PYTHONPATH=src:tests python tests/test_reach.py
 """
@@ -26,41 +28,30 @@ from pathlib import Path
 TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = TESTS_DIR.parent / "src"
 GEN_GRAPHS = TESTS_DIR.parent / "bench" / "gen_graphs.py"
+TRACING = TESTS_DIR.parent / "bench" / "tracing.py"
+README = TESTS_DIR.parent / "README.md"
 
 TRACER = "tracer target: bench/tracing.py wraps it"
-TEST_REFERENCE = "test reference: tests or the benchmark's output checks call it"
-ERROR_PATH = "error path: only bad input or a broken invariant reaches it"
+ERROR_PATH = "error path: only bad input, a broken invariant or a failed stream reaches it"
 PROCESS_ENTRY = "process entry: in-process runs call cli.main instead"
+LIBRARY_API = "library API: the README's Library API section names it"
+REASONS = {TRACER, ERROR_PATH, PROCESS_ENTRY, LIBRARY_API}
 
 NEVER_ENTERED = {
     "_value.Value.__delattr__": ERROR_PATH,
     "_value.Value.__setattr__": ERROR_PATH,
     "_value._shown": ERROR_PATH,
+    "cli._fault_code": ERROR_PATH,
     "cli.run": PROCESS_ENTRY,
-    "graphs.EquivariantGraph.geometric_orbit": TEST_REFERENCE,
-    "graphs.EquivariantGraph.orbit_rep": TEST_REFERENCE,
-    "graphs.EquivariantGraph.vertex_orbit_rep": TEST_REFERENCE,
-    "graphs.EquivariantGraph.vertex_orbits": TEST_REFERENCE,
     "graphs.InvalidGraph.__init__": ERROR_PATH,
     "graphs._Cycles.cycle": ERROR_PATH,
-    "graphs._Cycles.minimum": TEST_REFERENCE,
-    "graphs.collapse_orbit": TEST_REFERENCE,
-    "graphs.has_fixed_vertex": TEST_REFERENCE,
-    "graphs.isomorphic_single_orbit": TEST_REFERENCE,
-    "graphs.to_json_obj": TEST_REFERENCE,
-    "modp.Mat2P.apply": TEST_REFERENCE,
-    "modp.Mat2P.inverse": TEST_REFERENCE,
-    "modp.Mat2P.is_identity": TEST_REFERENCE,
-    "modp.Mat2P.power": TEST_REFERENCE,
     "orbits.enumerate_orbits": TRACER,
-    "records.parse_record": TEST_REFERENCE,
-    "records.parse_records": TEST_REFERENCE,
-    "records.render_records": TEST_REFERENCE,
-    "series.FreeAbelian.__str__": TEST_REFERENCE,
+    "records.parse_record": LIBRARY_API,
+    "records.parse_records": LIBRARY_API,
+    "records.render_records": LIBRARY_API,
+    "series.FreeAbelian.__str__": LIBRARY_API,
     "series.GroupExpr.series": ERROR_PATH,
     "series.NoSuchEntry.__init__": ERROR_PATH,
-    "series.PoincareSeries.dims": TEST_REFERENCE,
-    "series.Registry.names": TEST_REFERENCE,
 }
 
 
@@ -140,7 +131,34 @@ def test_traffic_enters_every_function_but_those_named():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR), str(TESTS_DIR)]))
     result = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == sorted(NEVER_ENTERED)
+    found = json.loads(result.stdout)
+    unnamed = sorted(set(found) - set(NEVER_ENTERED))
+    assert not unnamed, (
+        f"traffic never enters {unnamed}: name each in NEVER_ENTERED as an error "
+        "path, the process entry, a tracer target or library API that the README "
+        "names, or move it to tests/ if only tests call it"
+    )
+    stale = sorted(set(NEVER_ENTERED) - set(found))
+    assert not stale, f"traffic enters {stale}, or they are gone: drop them from NEVER_ENTERED"
+
+
+def test_each_reason_points_where_it_says():
+    import importlib.util
+
+    assert set(NEVER_ENTERED.values()) <= REASONS
+    readme = README.read_text(encoding="utf-8")
+    start = readme.index("### Library API\n")
+    library_api = readme[start : readme.index("\n#", start)]
+    for name, reason in NEVER_ENTERED.items():
+        if reason == LIBRARY_API:
+            assert f"`{name}`" in library_api, name
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {f"{module.removeprefix('tatek.')}.{fn}" for module, fn, *_ in tracing.SPANS}
+    for name, reason in NEVER_ENTERED.items():
+        if reason == TRACER:
+            assert name in wrapped, name
 
 
 if __name__ == "__main__":
