@@ -12,8 +12,6 @@ cells reproduce faithfully instead of erroring.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from ._value import Value, _cut
 from .classes import OutOfRange, centraliser_of, order_p_classes
 from .modp import check_prime
@@ -193,24 +191,17 @@ _AMALGAM_CITATIONS = (
 )
 
 
-def _class_number_table() -> dict[str, dict[str, int]]:
-    import json
-
-    text = (
-        resources.files("tatek")
-        .joinpath("data", "class_numbers.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)
-
-
 def builtin_class_number(p: int) -> int | None:
     """h_p for Q(zeta_p) from the bundled table, or None if not tabulated."""
-    return _class_number_table()["cyclotomic_class_number"].get(str(p))
+    from .bundled import CYCLOTOMIC_CLASS_NUMBER
+
+    return CYCLOTOMIC_CLASS_NUMBER.get(p)
 
 
 def builtin_relative_class_number(p: int) -> int | None:
-    return _class_number_table()["relative_class_number"].get(str(p))
+    from .bundled import RELATIVE_CLASS_NUMBER
+
+    return RELATIVE_CLASS_NUMBER.get(p)
 
 
 def example_sl3() -> tuple[TateKResult, TateKResult]:

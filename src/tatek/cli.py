@@ -590,6 +590,8 @@ def run() -> NoReturn:
     # Tools such as coverage write their data from atexit handlers.
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue  # fd closed at start: any write to it failed in main
         try:
             stream.flush()
         except Exception as exc:

@@ -4,10 +4,11 @@ One record per line; keys keep their given order.  Values that are non-empty
 and consist only of the characters of ``_BARE`` are written bare, everything
 else is JSON-quoted, so ``parse(render(r)) == r``, and re-rendering parsed text
 that ``render_record`` wrote reproduces it byte for byte; the parser takes a
-bare value only from those characters.  The ``json`` codec is imported only
-where a value is quoted or unquoted, and the token pattern ``_TOKEN`` is
-compiled (once, through ``re``'s cache) only where a record is parsed, so
-rendering bare records loads neither.
+bare value only from those characters.  A value of printable ASCII with no
+``"`` and no ``\\`` is quoted directly; the ``json`` codec is imported only
+where any other value is quoted or a record is parsed, and the token pattern
+``_TOKEN`` is compiled (once, through ``re``'s cache) only where a record is
+parsed, so rendering records of plain values loads neither.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ _TOKEN = r'([A-Za-z_][A-Za-z0-9_]*)=("(?:[^"\\]|\\.)*"|"\S*|[' + re.escape(_BARE
 def encode_value(value: str) -> str:
     if value and not value.strip(_BARE):
         return value
+    # Printable ASCII with no '"' and no '\\' is the JSON string of itself
+    # between quotes: ``json.dumps`` escapes nothing else in that range.
+    if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        return '"' + value + '"'
     import json
 
     return json.dumps(value)

@@ -4,9 +4,9 @@ A :class:`PoincareSeries` records the dimensions of the rational cohomology of
 a group, degree by degree.  Every group in scope has finite-support series, so
 products collapse to finite convolutions (Kunneth).  Series that the
 literature has computed but that cannot be derived here are curated in a
-versioned JSON data file shipped with the package; each entry carries its
-citation, and entries with no published value are stored with status
-"unknown" and poison any computation that touches them.
+versioned document shipped with the package (``tatek.bundled``); each entry
+carries its citation, and entries with no published value are stored with
+status "unknown" and poison any computation that touches them.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
-from importlib import resources
 from typing import Iterator, Mapping
 
 from ._value import Value, _cut, _shown
 
 REGISTRY_ENV_VAR = "TATEK_REGISTRY"
-_DEFAULT_REGISTRY_RESOURCE = "cohomology_registry.json"
 
 
 class UnknownCohomology(Exception):
@@ -231,7 +229,7 @@ class FlipSquare(GroupExpr):
 
 class RegistryEntry(Value):
     """A curated or synthetic entry; ``series`` is None exactly when the
-    entry is unknown, which ``Registry.from_json_text`` enforces."""
+    entry is unknown, which ``Registry.from_document`` enforces."""
 
     name: str
     series: PoincareSeries | None
@@ -260,7 +258,8 @@ _DYNAMIC_UNKNOWN = (
 
 
 class Registry:
-    """Citation-tagged series registry backed by a versioned JSON data file."""
+    """Citation-tagged series registry: the bundled document
+    (``tatek.bundled``) or a ``TATEK_REGISTRY`` override file in JSON."""
 
     def __init__(self, entries: dict[str, RegistryEntry], version: int):
         self._entries = entries
@@ -268,12 +267,18 @@ class Registry:
 
     @classmethod
     def from_json_text(cls, text: str) -> "Registry":
+        """The registry of an override file's text."""
         import json
 
         try:
             raw = json.loads(text)
         except RecursionError:
             raise RegistryDataError("registry document is nested too deeply to parse") from None
+        return cls.from_document(raw)
+
+    @classmethod
+    def from_document(cls, raw: object) -> "Registry":
+        """The registry of a parsed document, checked field by field."""
         raw_entries = raw.get("entries") if isinstance(raw, dict) else None
         if not isinstance(raw_entries, dict):
             raise RegistryDataError("registry document: entries missing or not an object")
@@ -335,12 +340,9 @@ class Registry:
                     f"cannot read {REGISTRY_ENV_VAR}={override}: {exc.strerror}"
                 ) from exc
             return cls.from_json_text(text)
-        text = (
-            resources.files("tatek")
-            .joinpath("data", _DEFAULT_REGISTRY_RESOURCE)
-            .read_text(encoding="utf-8")
-        )
-        return cls.from_json_text(text)
+        from .bundled import COHOMOLOGY_REGISTRY
+
+        return cls.from_document(COHOMOLOGY_REGISTRY)
 
     def lookup(self, name: str) -> RegistryEntry:
         entry = self._entries.get(name)

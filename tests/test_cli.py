@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tatek import cli
+from tatek import bundled, cli
 from tatek.graphs import (
     MAX_GRAPH_FILE_CHARS,
     MAX_HALF_EDGES,
@@ -170,10 +171,7 @@ def test_table_text_contains_blocked_footnote():
 
 
 def test_registry_override_env_var(tmp_path):
-    registry_path = Path(__file__).resolve().parents[1] / (
-        "src/tatek/data/cohomology_registry.json"
-    )
-    data = json.loads(registry_path.read_text(encoding="utf-8"))
+    data = _bundled_registry()
     # Flip AutF4 to unknown: (7, 10) needs it through theta(0,4).
     data["entries"]["AutF4"] = {"status": "unknown", "citation": "test override"}
     override = tmp_path / "registry.json"
@@ -358,13 +356,28 @@ def test_import_loads_every_layer_but_not_dataclasses():
 def test_startup_compiles_no_pattern_and_bare_requests_load_no_json():
     # The median request of the orbit workload is an `orbits --format
     # records` run. Importing the layers compiles no pattern, and answering
-    # it, a demo graph or an example that reads no JSON file loads no JSON
-    # codec.
+    # it, a demo graph, an example, a selftest or a request that reads the
+    # bundled registry or class numbers, or quotes a citation, loads no JSON
+    # codec: the bundled data is Python, and plain values are quoted directly.
     argvs = [
         ["orbits", "--p", "5", "--format", "records"],
         ["orbits", "--p", "7", "--kind", "theta", "--list", "--format", "records"],
         ["normalize", "--demo", "scrambled_p5_k2_seed3", "--format", "records"],
         ["example", "--name", "amalgam", "--p", "7"],
+        *(
+            [*request, "--format", fmt, *cite]
+            for request in (
+                ["tate", "--p", "11", "--n", "12"],
+                ["rational", "--p", "5", "--n", "7"],
+                ["table", "--which", "5"],
+            )
+            for fmt in ("text", "records")
+            for cite in ([], ["--no-cite"])
+        ),
+        ["classes", "--p", "11", "--n", "12", "--format", "records"],
+        ["example", "--name", "gl", "--p", "7"],
+        ["example", "--name", "sp", "--p", "7"],
+        ["selftest", "--max-p", "5"],
     ]
     code = (
         "import re, sys\n"
@@ -381,8 +394,25 @@ def test_startup_compiles_no_pattern_and_bare_requests_load_no_json():
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
-    assert result.stderr == "[]\n[0, 0, 0, 0]\n[]\n"
+    assert result.stderr == f"[]\n{[0] * len(argvs)}\n[]\n"
     assert result.stdout.startswith("record=orbit_report kind=edge p=5 ")
+    assert 'record=citation text="' in result.stdout
+
+
+def test_import_and_a_tate_request_load_no_json_or_resources_without_site():
+    # Under `python -S` nothing else loads them.  `importlib.resources` would
+    # bring `pathlib`, `zipfile` and more into `import tatek.cli`.
+    code = (
+        "import sys, tatek.cli\n"
+        "code = tatek.cli.main(['tate', '--p', '11', '--n', '12', '--format', 'records'])\n"
+        "unwanted = ('json', '_json', 'importlib.resources')\n"
+        "print(code, sorted(m for m in sys.modules if m in unwanted), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.stderr == "0 []\n"
+    assert result.stdout.startswith("record=tate group=Out(F_12) p=11 n=12 ")
 
 
 def test_import_of_the_root_loads_no_layer():
@@ -473,8 +503,8 @@ def registry_override(tmp_path, monkeypatch):
 
 
 def _bundled_registry() -> dict:
-    path = Path(SRC_DIR) / "tatek" / "data" / "cohomology_registry.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    """A copy of the bundled registry document, free to edit."""
+    return copy.deepcopy(bundled.COHOMOLOGY_REGISTRY)
 
 
 def _with_entry(name: str, body) -> dict:
@@ -1111,6 +1141,20 @@ def test_stderr_closed_by_its_reader_exits_141():
     finally:
         os.close(write_end)
     assert (result.returncode, result.stdout) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def test_stdout_closed_before_start_is_one_internal_error_line():
+    # `tatek tate --p 5 --n 6 >&-`: the interpreter starts with fd 1 closed,
+    # so `sys.stdout` is None; the first write fails and `run`'s flushes skip
+    # the missing stream.
+    result = subprocess.run(
+        [sys.executable, "-m", "tatek", "tate", "--p", "5", "--n", "6"],
+        stderr=subprocess.PIPE, text=True, env=buffered_child_env(),
+        preexec_fn=lambda: os.close(1),
+    )
+    assert result.returncode == cli.EXIT_INTERNAL_ERROR
+    assert result.stderr.startswith("internal error: AttributeError: ")
+    assert result.stderr.count("\n") == 1, result.stderr
 
 
 def test_installed_script_goes_through_run():

@@ -143,11 +143,13 @@ def fixture_name(argv: list[str]) -> str:
     return "_".join(a.lstrip("-").replace(".", "_") for a in argv) or "no_arguments"
 
 
-def run_main(argv: list[str]) -> dict:
-    """Run ``cli.main`` in process; the bundled registry, an 80-column
-    terminal for argparse's messages."""
+def run_main(argv: list[str], registry: str | None = None) -> dict:
+    """Run ``cli.main`` in process; the bundled registry, or the override file
+    ``registry`` if given, and an 80-column terminal for argparse's messages."""
     saved = {key: os.environ.pop(key, None) for key in (REGISTRY_ENV_VAR, "COLUMNS")}
     os.environ["COLUMNS"] = "80"
+    if registry is not None:
+        os.environ[REGISTRY_ENV_VAR] = registry
     reset_default_registry()
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -158,6 +160,7 @@ def run_main(argv: list[str]) -> dict:
                 code = exc.code
     finally:
         del os.environ["COLUMNS"]
+        os.environ.pop(REGISTRY_ENV_VAR, None)
         os.environ.update({k: v for k, v in saved.items() if v is not None})
         reset_default_registry()
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}

@@ -15,6 +15,7 @@ import pytest
 
 import test_cli_parser
 import test_orbits
+import test_records
 import test_golden_moves as golden_moves
 from tatek import classes, cli, modp, orbits, records, series
 from tatek.modp import StabiliserKind
@@ -327,6 +328,31 @@ def test_never_quoting_encoder_fails_the_records_oracles(check, monkeypatch):
     assert patch_everywhere(monkeypatch, records.encode_value, never_quoting) == ["tatek.records"]
     with pytest.raises(AssertionError):
         check()
+
+
+# Direct quoting of printable ASCII without the test for '"' and '\': a value
+# holding either is written unescaped, so it no longer parses back.
+QUOTING_QUOTES_AND_BACKSLASHES = (
+    r""" and '"' not in value and "\\" not in value:""",
+    ":",
+)
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        test_records.test_encode_value_follows_the_bare_regex,
+        test_records.test_encode_value_quotes_printable_ascii_as_json_does,
+    ],
+    ids=lambda prop: prop.__name__,
+)
+def test_direct_quoting_mutant_fails_the_encoder_properties(prop, monkeypatch):
+    prop()
+    mutant = mutated_method(records, "encode_value", QUOTING_QUOTES_AND_BACKSLASHES)
+    assert mutant('a"b') == '"a"b"'
+    monkeypatch.setattr(test_records, "encode_value", mutant)
+    with pytest.raises(AssertionError):
+        prop()
 
 
 def replay_fixture(stem: str) -> None:

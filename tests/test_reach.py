@@ -4,6 +4,8 @@ One fresh interpreter traces every call under ``sys.setprofile``, from the
 import of the package on, while it runs in process:
 
 - every golden CLI invocation of ``test_golden_cli``, with its environment;
+- one ``tate`` request under the README's ``TATEK_REGISTRY`` override, the
+  bundled registry document written as a JSON file;
 - the seven graphs of ``bench/gen_graphs.py``, built as the benchmark builds
   them, each written by ``graphs.dumps`` and read back by ``normalize --input``.
 
@@ -101,6 +103,7 @@ def never_entered() -> list[str]:
     # generator is loaded as ``test_normalize_reference`` loads it, without
     # importing that module and Hypothesis with it.
     sys.setprofile(None)
+    from tatek.bundled import COHOMOLOGY_REGISTRY
     from test_golden_cli import INVOCATIONS, run_main
 
     spec = importlib.util.spec_from_file_location("bench_gen_graphs", GEN_GRAPHS)
@@ -112,6 +115,12 @@ def never_entered() -> list[str]:
         for argv in INVOCATIONS:
             run_main(argv)
         with tempfile.TemporaryDirectory() as tmp:
+            # The README's starting override: the bundled document as a file.
+            registry = os.path.join(tmp, "registry.json")
+            with open(registry, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(COHOMOLOGY_REGISTRY))
+            argv = ["tate", "--p", "5", "--n", "6", "--format", "records"]
+            assert run_main(argv, registry=registry) == run_main(argv)
             for index, config in enumerate(gen_graphs.GRAPH_CONFIGS):
                 path = os.path.join(tmp, f"graph{index}.json")
                 with open(path, "w", encoding="utf-8") as fh:

@@ -79,9 +79,21 @@ def reference_encode_value(value: str) -> str:
 @example("é")
 @example("٣")
 @example("\n")
+@example("\x7f")
 @example("[[0,1],[1,0]]")
 @example("F4SemidirectAutF4_Z2invariants")
 def test_encode_value_follows_the_bare_regex(value):
+    assert encode_value(value) == reference_encode_value(value)
+
+
+@given(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)))
+@example('a"b')
+@example("a\\b")
+@example('"')
+@example("two words")
+def test_encode_value_quotes_printable_ascii_as_json_does(value):
+    # Printable ASCII is quoted without the codec, as the codec would quote it;
+    # the property above draws from all of Unicode, where this is rare.
     assert encode_value(value) == reference_encode_value(value)
 
 

@@ -1,19 +1,21 @@
+import copy
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import tatek.series
+from tatek import bundled
 from tatek.series import (
     Finite,
     FlipSquare,
     FreeAbelian,
     FreeGroup,
     NoSuchEntry,
+    REGISTRY_ENV_VAR,
     PoincareSeries,
     Product,
     Registry,
+    RegistryDataError,
     RegistryRef,
     UnknownCohomology,
     citations_of,
@@ -192,11 +194,29 @@ def test_synthetic_unknown_names(name, citation):
 
 def test_registry_citations_nonempty():
     registry = default_registry()
-    bundled = Path(tatek.series.__file__).parent / "data" / "cohomology_registry.json"
-    for name in json.loads(bundled.read_text(encoding="utf-8"))["entries"]:
+    for name in bundled.COHOMOLOGY_REGISTRY["entries"]:
         entry = registry.lookup(name)
         if entry.known:
             assert entry.citation.strip()
+
+
+def test_bundled_document_reads_as_its_json_text():
+    # The bundled document is what an override file holding its JSON gives.
+    doc = bundled.COHOMOLOGY_REGISTRY
+    from_text = Registry.from_json_text(json.dumps(doc))
+    from_doc = Registry.from_document(doc)
+    assert from_doc.version == from_text.version == doc["version"]
+    for name in doc["entries"]:
+        assert from_doc.lookup(name) == from_text.lookup(name) == default_registry().lookup(name)
+
+
+def test_bundled_document_is_checked_on_every_load(monkeypatch):
+    doc = copy.deepcopy(bundled.COHOMOLOGY_REGISTRY)
+    doc["entries"]["AutF4"]["dims"]["4"] = 2.0
+    monkeypatch.setattr(bundled, "COHOMOLOGY_REGISTRY", doc)
+    monkeypatch.delenv(REGISTRY_ENV_VAR, raising=False)
+    with pytest.raises(RegistryDataError, match="^registry entry AutF4: dims value 2.0 "):
+        Registry.load_default()
 
 
 def test_registry_version_and_roundtrip(tmp_path):
