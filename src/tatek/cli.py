@@ -280,8 +280,9 @@ def cmd_table(args) -> int:
 
 def demo_graph(name: str):
     """Built-in graphs: canonical_p<P>_k<K> and scrambled_p<P>_k<K>_seed<S>,
-    of at most ``graphs.MAX_HALF_EDGES`` half-edges before scrambling; the
-    count 2p(k+1) is checked from the name before any graph is built."""
+    of at most ``graphs.MAX_HALF_EDGES`` half-edges.  The count, 2p(k+1) for
+    a canonical graph and at most 2p(k+1+e) after the e expansions that a
+    scramble may add, is checked from the name before any graph is built."""
     import re
 
     canonical = re.fullmatch(r"canonical_p(\d+)_k(\d+)", name)
@@ -293,10 +294,12 @@ def demo_graph(name: str):
         )
     p, k = int(match.group(1)), int(match.group(2))
     check_prime(p)
-    half_edges = 2 * p * (k + 1)
+    expansions = 0 if canonical else 4
+    half_edges = 2 * p * (k + 1 + expansions)
     if half_edges > MAX_HALF_EDGES:
+        count = "2p(k+1)" if canonical else f"up to 2p(k+{1 + expansions})"
         raise DemoGraphTooLarge(
-            f"demo graph {name} has 2p(k+1) = {half_edges} half-edges, "
+            f"demo graph {name} has {count} = {half_edges} half-edges, "
             f"above the bound {MAX_HALF_EDGES}"
         )
     g = canonical_graph(p, k)
@@ -304,7 +307,7 @@ def demo_graph(name: str):
         return g
     from random import Random
 
-    return scramble_graph(g, Random(int(match.group(3))))
+    return scramble_graph(g, Random(int(match.group(3))), max_expansions=expansions)
 
 
 def cmd_normalize(args) -> int:
@@ -503,7 +506,17 @@ def _argparse_parser():
     command line that is not in canonical form."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class ArgumentParser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # Help and --version go to stdout.  With stdout closed before
+            # start, argparse would write them to stderr and exit 0; write to
+            # the missing stream instead, so these requests fail as every
+            # other request does.
+            if file is None is sys.stdout:
+                file.write(message)
+            super()._print_message(message, file)
+
+    parser = ArgumentParser(
         prog="tatek",
         description=(
             "Exact computations of p-adic Farrell-Tate K-theory dimensions for "

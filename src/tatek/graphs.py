@@ -6,15 +6,13 @@ sends half-edges to vertices, and the Z/p action is a pair of permutations
 (vertices, half-edges) commuting with both.  All moves are whole-orbit and
 atomic: a single move collapses or slides an entire Z/p-orbit of edges, so
 equivariance can never be transiently broken.  Graphs are immutable; the
-public moves return new graphs.  Collapse and slide run on one private
-mutable working copy, ``_WorkingGraph``: ``slide`` and ``replay`` (a move
-log, such as one collapse ``[Move("collapse", h)]``) load it, apply the
-moves and freeze the result, and ``normalize`` applies its whole move
-sequence to a single working copy and freezes only the normal form.
-``scramble_graph``, which builds demo and test graphs by inverse moves, runs
-all its slides on one working copy and freezes it once, keeping no trace of
-the steps; ``expand_orbit``, the inverse of a collapse, builds its larger
-graph directly.
+public moves return new graphs.  Every move runs on one private mutable
+working copy, ``_WorkingGraph``: ``slide``, ``expand_orbit`` (the inverse of
+a collapse) and ``replay`` (a move log, such as one collapse
+``[Move("collapse", h)]``) load it, make the moves and freeze the result;
+``normalize`` and ``scramble_graph`` (demo and test graphs, built by inverse
+moves) freeze one copy after all their moves.  A frozen graph keeps the orbit
+representatives its copy kept current, so loading it walks no cycle index.
 
 The normal form is the rose-cycle graph: p vertices in a single orbit, one
 edge orbit forming a p-cycle compatible with the rotation, and k loop orbits
@@ -185,7 +183,14 @@ class EquivariantGraph(Value):
         of h and of its partner."""
         cycles = self._half_edge_cycles
         minimum = list(map([c[0] for c in cycles.cycles].__getitem__, cycles.cycle_id))
-        return tuple(map(min, minimum, map(minimum.__getitem__, self.involution)))
+        partner = map(minimum.__getitem__, self.involution)
+        return tuple([a if a < b else b for a, b in zip(minimum, partner)])
+
+    @cached_property
+    def _vertex_orbit_reps(self) -> tuple[int, ...]:
+        """Each vertex's vertex-orbit representative, the least of its cycle."""
+        cycles = self._vertex_cycles
+        return tuple(map([c[0] for c in cycles.cycles].__getitem__, cycles.cycle_id))
 
     # -- basic shape -------------------------------------------------------
 
@@ -330,14 +335,15 @@ class _WorkingGraph:
     """A mutable copy of an :class:`EquivariantGraph` that whole-orbit moves
     update in place, each in O(p) apart from one O(H) renumbering.
 
-    A slide rewrites the p attachments it moves.  A collapse marks the
-    half-edges of its orbit removed and points each vertex of the merged
-    orbit at the vertex it merges into (a union-find), so nothing is
-    renumbered until :meth:`compact`.  Until then indices are those of the
-    loaded graph, and :meth:`index_of` gives a half-edge's index in the
-    collapsed graph.  Orbit representatives are the loaded graph's own, and
-    vertex-orbit labels are read once from its cycle index: slides keep every
-    orbit, and a collapse removes one edge orbit and one vertex orbit whole.
+    A slide rewrites the p attachments it moves, and an expansion appends p
+    vertices and 2p half-edges.  A collapse marks the half-edges of its orbit
+    removed and points each vertex of the merged orbit at the vertex it
+    merges into (a union-find), so nothing is renumbered until
+    :meth:`compact`.  Until then indices are those of the loaded graph, and
+    :meth:`index_of` gives a half-edge's index in the collapsed graph.  The
+    orbit representatives start as the loaded graph's, and the moves keep
+    them current (a collapse removes one edge orbit and one vertex orbit
+    whole, an expansion adds one of each) for :meth:`freeze` to hand over.
 
     Once compact, a working graph has the fields of an ``EquivariantGraph``
     (``p``, ``involution``, ``attach``, ``vertex_action``,
@@ -359,9 +365,8 @@ class _WorkingGraph:
         self.vertex_action = list(g.vertex_action)
         self.half_edge_action = list(g.half_edge_action)
         self._rep = g._edge_orbit_reps
-        vertex_cycles = g._vertex_cycles
-        self._orbit = [vertex_cycles.cycles[c][0] for c in vertex_cycles.cycle_id]
-        self.n_vertex_orbits = len(vertex_cycles.cycles)
+        self._orbit = g._vertex_orbit_reps
+        self.n_vertex_orbits = len(set(self._orbit))
         self._merged = list(range(g.n_vertices))
         self._live = bytearray(b"\x01") * g.n_half_edges
         self._compact = True
@@ -448,6 +453,36 @@ class _WorkingGraph:
         for src, v in ends:
             attach[src] = v
 
+    def expand(self, vertex: int, moved: Iterable[int]) -> int:
+        """``expand_orbit`` on a compact working graph: w_k = V + k is joined
+        to action^k(vertex) by half-edges H + 2k and H + 2k + 1.  Returns H."""
+        moved_k = sorted(set(_check_ints(tuple(moved), "moved half-edge")))
+        attach, inv, action = self.attach, self.involution, self.half_edge_action
+        for h in moved_k:
+            if attach[h] != vertex:
+                raise GraphStructureError(
+                    f"half-edge {h} is attached to {attach[h]}, not to {vertex}"
+                )
+        V, H, p = self.n_vertices, self.n_half_edges, self.p
+        x = vertex  # action^k(vertex), as moved_k is action^k of each moved half-edge
+        for k in range(p):
+            attach += (x, V + k)
+            for h in moved_k:
+                attach[h] = V + k
+            x = self.vertex_action[x]
+            moved_k = [action[h] for h in moved_k]
+        for k in range(p):
+            nxt = H + 2 * ((k + 1) % p)
+            inv += (H + 2 * k + 1, H + 2 * k)
+            action += (nxt, nxt + 1)
+        self.vertex_action += [V + (k + 1) % p for k in range(p)]
+        self._rep = [*self._rep, *[H] * (2 * p)]
+        self._orbit = [*self._orbit, *[V] * p]
+        self._merged += range(V, V + p)
+        self._live += b"\x01" * (2 * p)
+        self.n_vertex_orbits += 1
+        return H
+
     def apply(self, move: "Move") -> None:
         if move.op == "collapse":
             self.compact()
@@ -491,8 +526,10 @@ class _WorkingGraph:
         self._compact = True
 
     def freeze(self) -> EquivariantGraph:
+        """The graph of the working copy, holding the representatives the
+        moves kept current in place of deriving them from its cycle index."""
         self.compact()
-        return EquivariantGraph(
+        g = EquivariantGraph(
             p=self.p,
             n_vertices=self.n_vertices,
             involution=tuple(self.involution),
@@ -500,65 +537,22 @@ class _WorkingGraph:
             vertex_action=tuple(self.vertex_action),
             half_edge_action=tuple(self.half_edge_action),
         )
+        object.__setattr__(g, "_edge_orbit_reps", tuple(self._rep))
+        object.__setattr__(g, "_vertex_orbit_reps", tuple(self._orbit))
+        return g
 
 
 def expand_orbit(
     g: EquivariantGraph, vertex: int, moved: Iterable[int]
 ) -> tuple[EquivariantGraph, EdgeOrbitRef]:
-    """Equivariant expansion, the inverse of a collapse.
-
-    Splits the vertex orbit through ``vertex``: a new vertex orbit w_k is
-    introduced together with an edge orbit joining old to new, and the
-    half-edges in ``moved`` (all attached at ``vertex``) are re-attached to
-    the new vertex, replicated across the orbit.  Returns the new graph and a
-    reference to the fresh edge orbit, oriented old -> new.
-    """
-    moved_set = sorted(set(_check_ints(tuple(moved), "moved half-edge")))
-    for h in moved_set:
-        if g.attach[h] != vertex:
-            raise GraphStructureError(
-                f"half-edge {h} is attached to {g.attach[h]}, not to {vertex}"
-            )
-    V, H, p = g.n_vertices, g.n_half_edges, g.p
-
-    new_attach = list(g.attach)
-    # w_k gets index V + k; the connecting half-edges are H + 2k (at the old
-    # orbit) and H + 2k + 1 (at w_k).  ``x`` and ``moved_k`` step along the
-    # action: they are action^k(vertex) and action^k of each moved half-edge.
-    x, moved_k = vertex, moved_set
-    for k in range(p):
-        new_attach.append(x)
-        new_attach.append(V + k)
-        for h in moved_k:
-            new_attach[h] = V + k
-        x = g.vertex_action[x]
-        moved_k = [g.half_edge_action[h] for h in moved_k]
-
-    involution = list(g.involution) + [0] * (2 * p)
-    half_action = list(g.half_edge_action) + [0] * (2 * p)
-    for k in range(p):
-        a, b = H + 2 * k, H + 2 * k + 1
-        involution[a] = b
-        involution[b] = a
-        a2 = H + 2 * ((k + 1) % p)
-        half_action[a] = a2
-        half_action[b] = a2 + 1
-
-    vertex_action = list(g.vertex_action) + [V + (k + 1) % p for k in range(p)]
-
-    expanded = EquivariantGraph(
-        p=p,
-        n_vertices=V + p,
-        involution=tuple(involution),
-        attach=tuple(new_attach),
-        vertex_action=tuple(vertex_action),
-        half_edge_action=tuple(half_action),
-    )
-    return expanded, EdgeOrbitRef(H)
-
-
-def _single_vertex_orbit(g: EquivariantGraph) -> bool:
-    return len(g._vertex_cycles.cycles) == 1
+    """Equivariant expansion, the inverse of a collapse: a new vertex orbit
+    w_k, joined to the orbit of ``vertex`` by a new edge orbit, takes the
+    half-edges in ``moved`` (all attached at ``vertex``), replicated across
+    the orbit.  Returns the new graph and a reference to the new edge orbit,
+    oriented old -> new."""
+    work = _WorkingGraph(g)
+    h = work.expand(vertex, moved)
+    return work.freeze(), EdgeOrbitRef(h)
 
 
 def slide(g: EquivariantGraph, s: EdgeOrbitRef, t: EdgeOrbitRef) -> EquivariantGraph:
@@ -635,7 +629,7 @@ def canonical_graph(p: int, k: int) -> EquivariantGraph:
 def is_canonical_form(g: EquivariantGraph) -> bool:
     """Structurally the rose-cycle graph: one vertex orbit, one cycle orbit of
     unoriented step 1, and loops otherwise."""
-    if not validate(g).ok or not _single_vertex_orbit(g):
+    if not validate(g).ok or len(g._vertex_cycles.cycles) != 1:
         return False
     steps = orbit_step_multiset(g)
     return steps.count(1) == 1 and all(s in (0, 1) for s in steps)
@@ -868,9 +862,9 @@ def scramble_graph(
     least two edge orbits allows them), then equivariant expansions.  Each
     step leaves a valid graph.
 
-    The slides run on one working copy, frozen once after the last of them,
-    and each expansion builds its graph; no intermediate graph is kept.
-    Slides keep every edge orbit, so the representatives are listed once.
+    All the moves run on one working copy, frozen once; no intermediate
+    graph is built.  Slides keep every edge orbit, so the representatives are
+    listed once.
     """
     work = _WorkingGraph(g)
     reps = work.orbit_reps()
@@ -881,12 +875,11 @@ def scramble_graph(
             t_family = t if rng.random() < 0.5 else work.involution[t]
             ht = _halfedge_of_family_at(work, t_family, work.attach[work.involution[hs]])
             work.slide(hs, ht)
-        g = work.freeze()
     for _ in range(rng.randrange(0, max_expansions + 1)):
-        vertex = rng.randrange(g.n_vertices)
-        moved = [h for h in g.half_edges_at(vertex) if rng.random() < 0.5]
-        g, _ = expand_orbit(g, vertex, moved)
-    return g
+        vertex = rng.randrange(work.n_vertices)
+        moved = [h for h, v in enumerate(work.attach) if v == vertex and rng.random() < 0.5]
+        work.expand(vertex, moved)
+    return work.freeze()
 
 
 def random_valid_graph(

@@ -702,21 +702,28 @@ def test_selftest_refuses_max_p_above_the_orbit_bound(monkeypatch, capsys):
     )
 
 
+# A scrambled name is refused from its worst case: 2p(k+1) half-edges and up
+# to four expansions of 2p each.
 @pytest.mark.parametrize(
     "name, half_edges",
     [
         ("canonical_p1000003_k2", 6000018),
         ("canonical_p5_k100000000", 1000000010),
-        ("scrambled_p1000003_k2_seed1", 6000018),
-        ("scrambled_p5_k100000000_seed7", 1000000010),
+        ("scrambled_p1000003_k2_seed1", 14000042),
+        ("scrambled_p5_k100000000_seed7", 1000000050),
         ("canonical_p2_k25000", 100004),
+        ("scrambled_p2_k24996_seed19", 100004),
+        ("scrambled_p2_k24999_seed19", 100016),
+        ("scrambled_p3_k16662_seed1", 100002),
+        ("scrambled_p49999_k0_seed5", 499990),
     ],
 )
 def test_normalize_demo_above_the_size_bound_is_refused(name, half_edges, capsys):
     code, out, err = _main_in_process(capsys, "normalize", "--demo", name)
     assert (code, out) == (3, "")
+    count = "2p(k+1)" if name.startswith("canonical") else "up to 2p(k+5)"
     assert err == (
-        f"error: DemoGraphTooLarge: demo graph {name} has 2p(k+1) = {half_edges} "
+        f"error: DemoGraphTooLarge: demo graph {name} has {count} = {half_edges} "
         f"half-edges, above the bound {MAX_HALF_EDGES}\n"
     )
 
@@ -727,6 +734,15 @@ def test_normalize_demo_at_the_size_bound_runs(capsys):
         capsys, "normalize", "--demo", "canonical_p2_k24999", "--format", "records"
     )
     assert (code, out, err) == (0, "record=normal_form p=2 k=24999 rank=49999 moves=0\n", "")
+
+
+def test_largest_scrambled_demo_runs_at_the_size_bound(capsys):
+    # Seed 5 draws all four expansions: 2p(k+5) = 100,000 half-edges.
+    name = "scrambled_p2_k24995_seed5"
+    assert cli.demo_graph(name).n_half_edges == MAX_HALF_EDGES
+    code, out, err = _main_in_process(capsys, "normalize", "--demo", name, "--format", "records")
+    assert (code, err) == (0, "")
+    assert out.startswith("record=normal_form p=2 k=24995 rank=49991 moves=")
 
 
 @pytest.fixture
@@ -1143,12 +1159,18 @@ def test_stderr_closed_by_its_reader_exits_141():
     assert (result.returncode, result.stdout) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
-def test_stdout_closed_before_start_is_one_internal_error_line():
+@pytest.mark.parametrize(
+    "argv",
+    [["tate", "--p", "5", "--n", "6"], ["--version"], ["--help"], ["tate", "--help"]],
+    ids=" ".join,
+)
+def test_stdout_closed_before_start_is_one_internal_error_line(argv):
     # `tatek tate --p 5 --n 6 >&-`: the interpreter starts with fd 1 closed,
     # so `sys.stdout` is None; the first write fails and `run`'s flushes skip
-    # the missing stream.
+    # the missing stream.  Help and --version fail the same way: argparse
+    # would write them to stderr instead and exit 0.
     result = subprocess.run(
-        [sys.executable, "-m", "tatek", "tate", "--p", "5", "--n", "6"],
+        [sys.executable, "-m", "tatek", *argv],
         stderr=subprocess.PIPE, text=True, env=buffered_child_env(),
         preexec_fn=lambda: os.close(1),
     )

@@ -449,14 +449,14 @@ def test_normalize_builds_one_graph_whatever_the_move_count(monkeypatch):
     assert counts == [3, 77]
 
 
-def test_scramble_builds_one_graph_for_all_slides_and_one_per_expansion(monkeypatch):
+def test_scramble_builds_one_graph_for_all_its_moves(monkeypatch):
     steps = []
     for seed in (2, 5, 6, 7):
         start = canonical_graph(3, 30)
         g, built = count_built_graphs(monkeypatch, G.scramble_graph, start, Random(seed), 12)
         _, trace = reference_scramble_graph(start, Random(seed), 12)
         expansions = g.n_vertices // 3 - 1
-        assert built <= 1 + expansions
+        assert built == 1
         steps.append((len(trace) - 1 - expansions, expansions))
     # (slides, expansions) of each seed.
     assert steps == [(0, 0), (9, 0), (12, 3), (5, 4)]

@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 import test_cli_parser
+import test_normalize_reference
 import test_orbits
 import test_records
 import test_golden_moves as golden_moves
@@ -131,6 +132,14 @@ COLLAPSE_WITHOUT_STEPPING = (
     ),
 )
 
+# An expansion that takes each new half-edge for an edge orbit of its own: the
+# working copy, and the graph it freezes, keep representatives that a fresh
+# copy does not derive.
+NEW_HALF_EDGES_REPRESENTED_APART = (
+    "expand",
+    ("self._rep = [*self._rep, *[H] * (2 * p)]", "self._rep = [*self._rep, *range(H, H + 2 * p)]"),
+)
+
 
 def check_golden_moves(tmp_path):
     for name, p, k, slides, expansions, seed, _ in golden_moves.CASES:
@@ -158,6 +167,10 @@ def check_scrambled_demo_fixtures(tmp_path):
         assert run_main(expected["argv"]) == expected
 
 
+def check_frozen_representatives(tmp_path):
+    test_normalize_reference.test_frozen_representatives_equal_fresh_ones()
+
+
 @pytest.mark.parametrize(
     "mutation, checks",
     [
@@ -166,8 +179,13 @@ def check_scrambled_demo_fixtures(tmp_path):
             COLLAPSE_WITHOUT_STEPPING,
             [check_golden_moves, check_normalize_reference, check_scrambled_demo_fixtures],
         ),
+        (NEW_HALF_EDGES_REPRESENTED_APART, [check_frozen_representatives]),
     ],
-    ids=["slide_writing_as_it_reads", "collapse_without_stepping"],
+    ids=[
+        "slide_writing_as_it_reads",
+        "collapse_without_stepping",
+        "new_half_edges_represented_apart",
+    ],
 )
 def test_working_graph_mutants_fail_their_oracles(mutation, checks, monkeypatch, tmp_path):
     name, replacement = mutation
