@@ -508,13 +508,15 @@ def _argparse_parser():
 
     class ArgumentParser(argparse.ArgumentParser):
         def _print_message(self, message, file=None):
-            # Help and --version go to stdout.  With stdout closed before
-            # start, argparse would write them to stderr and exit 0; write to
-            # the missing stream instead, so these requests fail as every
-            # other request does.
-            if file is None is sys.stdout:
+            # argparse swallows a failed write, so a usage error would exit
+            # 2 on an unbuffered stderr that takes no write and 5 on a
+            # buffered one, whose flush fails later.  Writing here lets the
+            # fault reach ``run`` either way.  With stdout closed before
+            # start, argparse would write help and --version to stderr and
+            # exit 0; writing to the missing stream fails as every other
+            # request does.
+            if message:
                 file.write(message)
-            super()._print_message(message, file)
 
     parser = ArgumentParser(
         prog="tatek",

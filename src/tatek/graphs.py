@@ -17,8 +17,11 @@ representatives its copy kept current, so loading it walks no cycle index.
 The normal form is the rose-cycle graph: p vertices in a single orbit, one
 edge orbit forming a p-cycle compatible with the rotation, and k loop orbits
 (k loops at each vertex), of rank p*k + 1.  ``normalize`` reduces any valid
-graph to this shape by collapsing inter-orbit edge orbits and sliding, and
-returns a move log that replays the reduction step by step.
+graph to this shape in three phases: collapse inter-orbit edge orbits down
+to one vertex orbit, take an orbit of step +-1 as the cycle (first sliding
+one other orbit to that step if none has it), and slide the rest to loops.
+It returns a move log that replays the reduction step by step, of at most
+p // 2 slides per edge orbit.
 """
 
 from __future__ import annotations
@@ -668,34 +671,11 @@ def replay(g: EquivariantGraph, moves: Iterable[Move]) -> EquivariantGraph:
     return work.freeze()
 
 
-def _bfs_path(g: EquivariantGraph, start: int, goal: int) -> list[int]:
-    """Shortest half-edge path start -> goal, ties broken by lowest index."""
-    at: dict[int, list[int]] = {v: [] for v in range(g.n_vertices)}
-    for h in range(g.n_half_edges):
-        at[g.attach[h]].append(h)
-    parent: dict[int, tuple[int, int] | None] = {start: None}
-    queue = [start]
-    while queue:
-        nxt: list[int] = []
-        for x in queue:
-            for h in at[x]:
-                y = g.attach[g.involution[h]]
-                if y not in parent:
-                    parent[y] = (x, h)
-                    nxt.append(y)
-        if goal in parent:
-            break
-        queue = nxt
-    if goal not in parent:
-        raise GraphStructureError("graph is not connected")
-    path: list[int] = []
-    node = goal
-    while parent[node] is not None:
-        prev, h = parent[node]
-        path.append(h)
-        node = prev
-    path.reverse()
-    return path
+def _unit_step_half(g: EquivariantGraph) -> int | None:
+    """The least half-edge at vertex 0 whose other end is vertex 0's rotate,
+    if any: a half-edge of an orbit of unoriented step 1 (one vertex orbit)."""
+    attach, inv, rotate = g.attach, g.involution, g.vertex_action[0]
+    return next((h for h, v in enumerate(attach) if v == 0 and attach[inv[h]] == rotate), None)
 
 
 def _halfedge_of_family_at(g: EquivariantGraph, family_rep: int, vertex: int) -> int:
@@ -710,6 +690,24 @@ def _halfedge_of_family_at(g: EquivariantGraph, family_rep: int, vertex: int) ->
     )
 
 
+def _slide_plan(
+    g: EquivariantGraph, moving: int, over_family: int, target_step: int
+) -> tuple[int, int]:
+    """The fewest slides that take the orbit of ``moving`` along the family
+    of ``over_family``, or of its reverse, to oriented step ``target_step``,
+    and the family to slide along; forward on a tie.  The two counts sum to
+    0 mod p, so the fewer is at most p // 2."""
+    p = g.p
+    j = oriented_step(g, over_family)
+    if j == 0:
+        raise GraphStructureError("cannot slide along a loop orbit")
+    forward = (target_step - oriented_step(g, moving)) * pow(j, p - 2, p) % p
+    backward = -forward % p
+    if forward <= backward:
+        return forward, over_family
+    return backward, g.involution[over_family]
+
+
 def _slide_to_step(
     work: _WorkingGraph,
     moving: int,
@@ -717,22 +715,8 @@ def _slide_to_step(
     target_step: int,
     moves: list[Move],
 ) -> None:
-    """Slide the orbit of ``moving`` along the family of ``over_family`` until
-    its oriented step equals ``target_step``; picks the cheaper direction."""
-    p = work.p
-    j = oriented_step(work, over_family)
-    if j == 0:
-        raise GraphStructureError("cannot slide along a loop orbit")
-    i = oriented_step(work, moving)
-    if i == target_step:
-        return
-    j_inv = pow(j, p - 2, p)
-    forward = ((target_step - i) * j_inv) % p
-    backward = ((i - target_step) * j_inv) % p
-    if forward <= backward:
-        count, family = forward, over_family
-    else:
-        count, family = backward, work.involution[over_family]
+    """Slide the orbit of ``moving`` as :func:`_slide_plan` says."""
+    count, family = _slide_plan(work, moving, over_family, target_step)
     for _ in range(count):
         tau = work.attach[work.involution[moving]]
         t_half = _halfedge_of_family_at(work, family, tau)
@@ -744,23 +728,26 @@ def normalize(g: EquivariantGraph) -> tuple[NormalForm, tuple[Move, ...]]:
     """Reduce a valid graph to the rose-cycle normal form.
 
     Three phases: collapse edge orbits joining distinct vertex orbits until a
-    single orbit remains; arrange an edge orbit forming a p-cycle compatible
-    with the rotation (shortest-path slides, lowest half-edge index first);
-    slide every other orbit along that cycle until it consists of loops.
-    The returned move log replays to a canonical graph, each move in the
-    indices of the graph the moves before it left; the input rank is
-    preserved and equals p * k + 1.
+    single orbit remains; take an edge orbit of unoriented step 1 as the
+    p-cycle, or, if there is none, slide one other orbit along the lowest
+    non-loop orbit to step 1 or p - 1 in the fewest slides (ties to the
+    lowest orbit, then to step 1, then forward); slide every other orbit
+    along that cycle until it consists of loops.  Each orbit takes at most
+    p // 2 slides, so a graph with k loop orbits per vertex normalises within
+    (k + 1) * (p // 2) slides.  The returned move log replays to a canonical
+    graph, each move in the indices of the graph the moves before it left;
+    the input rank is preserved and equals p * k + 1.
 
     All moves run on one working copy and only the normal form is built as an
     ``EquivariantGraph``.  A slide costs O(p), a collapse O(p) plus an O(H)
     byte count for its logged index, and the working copy is renumbered once,
-    after the last collapse.  Each arranging step runs an O(V + H) search,
-    and ``validate`` runs twice, on the input and through
-    ``is_canonical_form``.  So the time grows about linearly in H on scrambled
-    graphs, about 6 us per half-edge: the slowest of 10 seeds at p = 2 took
-    37 ms at 4,000 half-edges, 0.30 s at 32,000 and 0.83 s at 100,000, and
-    ``scrambled_p5_k4999_seed1`` (H = 50,030) 0.25 s, in process on a 2-vCPU
-    Xeon with Python 3.11.
+    after the last collapse.  Phase 2 is one O(H) scan for the cycle; with
+    none found, one more O(H) pass picks the orbit to slide.  ``validate``
+    runs twice, on the input and through ``is_canonical_form``.  So the time
+    grows about linearly in H on scrambled graphs, about 6 us per half-edge:
+    the slowest of 10 seeds at p = 2 took 37 ms at 4,000 half-edges, 0.30 s
+    at 32,000 and 0.83 s at 100,000, and ``scrambled_p5_k4999_seed1``
+    (H = 50,030) 0.25 s, in process on a 2-vCPU Xeon with Python 3.11.
     """
     report = validate(g)
     if not report.ok:
@@ -787,48 +774,25 @@ def normalize(g: EquivariantGraph) -> tuple[NormalForm, tuple[Move, ...]]:
         work.collapse(h)
     work.compact()
 
-    # Phase 2: find or build an edge orbit of oriented step 1 (an edge from
-    # v to its rotate, whose orbit is then automatically a p-cycle).  Each
-    # round depends on the attachments alone, and those are fixed by the ends
-    # of each orbit representative (the rest follow by equivariance).  The
-    # shortest-path slides can return to attachments seen before (p = 13
-    # with orbits of steps 2 and 5 does) and would then loop for ever; the
-    # log goes back to the first visit, and the lowest other orbit is slid
-    # along the lowest non-loop orbit to step 1 instead.
-    base = 0
-    ends = [x for h in work.orbit_reps() for x in (h, work.involution[h])]
-    seen: dict[tuple[int, ...], int] = {}
-    while True:
-        state = tuple([work.attach[x] for x in ends])
-        if state in seen:
-            del moves[seen[state]:]
-            reps = work.orbit_reps()
-            over = next(h for h in reps if oriented_step(work, h) != 0)
-            _slide_to_step(work, next(h for h in reps if h != over), over, 1, moves)
-            continue
-        seen[state] = len(moves)
-        path = _bfs_path(work, base, work.vertex_action[base])
-        if len(path) == 1:
-            cycle_half = path[0]
-            break
-        for i in range(len(path) - 1):
-            if work.orbit_rep(path[i]) != work.orbit_rep(path[i + 1]):
-                moves.append(Move("slide", path[i], path[i + 1]))
-                work.slide(path[i], path[i + 1])
-                break
-        else:
-            # The whole shortest path lies in one orbit, which therefore
-            # forms a p-cycle of some step j.  Slide any other orbit along it
-            # to step 1; with only one orbit in the whole graph there is
-            # nothing to slide and no move sequence can reach the normal form.
-            cycle_orbit = work.orbit_rep(path[0])
-            others = [h for h in work.orbit_reps() if h != cycle_orbit]
-            if not others:
-                raise NormalizationError(
-                    f"the only edge orbit is a cycle of step {unoriented_step(work, path[0])}; "
-                    "no equivariant move can change it into the standard p-cycle"
-                )
-            _slide_to_step(work, others[0], path[0], 1, moves)
+    # Phase 2: an edge orbit of unoriented step 1, the p-cycle: an edge from
+    # vertex 0 to its rotate.  If none has that step, the lowest non-loop
+    # orbit is a cycle of another step; one other orbit is slid along it to
+    # step 1 or p - 1, in at most p // 2 slides, and becomes the only one.
+    # With no other orbit there is nothing to slide and no move sequence can
+    # reach the normal form.
+    cycle_half = _unit_step_half(work)
+    if cycle_half is None:
+        reps = work.orbit_reps()
+        over = next(h for h in reps if oriented_step(work, h) != 0)
+        choices = [(h, step) for h in reps if h != over for step in (1, work.p - 1)]
+        if not choices:
+            raise NormalizationError(
+                f"the only edge orbit is a cycle of step {unoriented_step(work, over)}; "
+                "no equivariant move can change it into the standard p-cycle"
+            )
+        moving, step = min(choices, key=lambda c: _slide_plan(work, c[0], over, c[1])[0])
+        _slide_to_step(work, moving, over, step, moves)
+        cycle_half = _unit_step_half(work)
 
     # Phase 3: every other orbit becomes loops (step 0).
     cycle_orbit = work.orbit_rep(cycle_half)

@@ -1159,6 +1159,42 @@ def test_stderr_closed_by_its_reader_exits_141():
     assert (result.returncode, result.stdout) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["full", "closed_pipe"])
+def test_usage_error_on_an_unwritable_stderr_ignores_pythonunbuffered(sink, unbuffered):
+    # argparse's own writer would swallow the failed write of an unbuffered
+    # stderr and exit 2, where a buffered one fails at the last flush.
+    env = buffered_child_env()
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    if sink == "full":
+        stderr = os.open("/dev/full", os.O_WRONLY)
+        expected = cli.EXIT_INTERNAL_ERROR
+    else:
+        read_end, stderr = os.pipe()
+        os.close(read_end)
+        expected = cli.EXIT_BROKEN_PIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tatek", "orbits", "--bogus"],
+            stdout=subprocess.PIPE, stderr=stderr, env=env,
+        )
+    finally:
+        os.close(stderr)
+    assert (result.returncode, result.stdout) == (expected, b"")
+
+
+def test_usage_error_with_stderr_closed_before_start_exits_5():
+    # `tatek orbits --bogus 2>&-`: `sys.stderr` is None, so the error message
+    # fails as a domain error's would; argparse alone would exit 2.
+    result = subprocess.run(
+        [sys.executable, "-m", "tatek", "orbits", "--bogus"],
+        stdout=subprocess.DEVNULL, env=buffered_child_env(), preexec_fn=lambda: os.close(2),
+    )
+    assert result.returncode == cli.EXIT_INTERNAL_ERROR
+
+
 @pytest.mark.parametrize(
     "argv",
     [["tate", "--p", "5", "--n", "6"], ["--version"], ["--help"], ["tate", "--help"]],

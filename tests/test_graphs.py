@@ -369,21 +369,43 @@ def test_normalize_nonstandard_cycle_with_company_succeeds():
     assert is_canonical_form(current)
 
 
-@pytest.mark.parametrize("p, steps", [(13, [2, 5]), (13, [3, 5]), (13, [0, 2, 8]), (17, [7, 12, 12])])
-def test_normalize_ends_where_shortest_path_slides_loop(p, steps):
-    # Sliding along shortest paths from 0 to 1 returns to an earlier graph
-    # here (at p = 17 after one slide); normalize used to repeat that loop
-    # for ever.
+# Move logs pinned by (p, steps), as (source, target) of each slide.
+PINNED_SLIDES = {
+    # Step 5 - 2 - 2 = 1 for the second orbit, then the first becomes loops.
+    (13, (2, 5)): ((26, 7), (26, 3), (0, 29), (0, 27)),
+    # Three slides back along the first orbit take the second to
+    # 7 - 3 * 2 = 1, two more make the first loops.
+    (23, (2, 7)): ((46, 11), (46, 7), (46, 3), (0, 49), (0, 47)),
+}
+
+
+@pytest.mark.parametrize(
+    "p, steps", [(13, [2, 5]), (13, [3, 5]), (13, [0, 2, 8]), (17, [7, 12, 12]), (23, [2, 7])]
+)
+def test_normalize_builds_the_cycle_when_no_orbit_has_step_one(p, steps):
+    # No orbit has step +-1, so Phase 2 slides one orbit to step 1 or p - 1.
     g = single_orbit_graph(p, steps)
     form, moves = normalize(g)
     assert (form.loops_per_vertex, form.rank) == (len(steps) - 1, rank(g))
     assert is_canonical_form(G.replay(g, moves))
-    if (p, steps) == (13, [2, 5]):
-        # The loop starts at the input, so the log holds only the fallback:
-        # step 5 - 2 - 2 = 1 for the second orbit, then the first becomes loops.
-        assert moves == (
-            Move("slide", 26, 7), Move("slide", 26, 3), Move("slide", 0, 29), Move("slide", 0, 27)
-        )
+    pinned = PINNED_SLIDES.get((p, tuple(steps)))
+    if pinned is not None:
+        assert moves == tuple(Move("slide", s, t) for s, t in pinned)
+
+
+ROSE_COVER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def assert_rose_covers_within_budget(p):
+    """Every rose cover, the orbits of steps (l, m) for a nonzero (l, m),
+    normalises to one loop orbit in at most p - 1 slides: at most p // 2 to
+    build the cycle and p // 2 to make the other orbit loops."""
+    for l in range(p):
+        for m in range(p):
+            if (l, m) != (0, 0):
+                form, moves = normalize(single_orbit_graph(p, [l, m]))
+                assert (form.p, form.loops_per_vertex) == (p, 1), (l, m)
+                assert len(moves) <= p - 1, (l, m, len(moves))
 
 
 def test_normalize_slide_budget():
@@ -393,6 +415,8 @@ def test_normalize_slide_budget():
             g = single_orbit_graph(p, [1, j])
             _, moves = normalize(g)
             assert len(moves) <= p // 2
+    for p in ROSE_COVER_PRIMES:
+        assert_rose_covers_within_budget(p)
 
 
 def test_move_log_indices_are_sequential():

@@ -14,11 +14,12 @@ from random import Random
 import pytest
 
 import test_cli_parser
+import test_graphs
 import test_normalize_reference
 import test_orbits
 import test_records
 import test_golden_moves as golden_moves
-from tatek import classes, cli, modp, orbits, records, series
+from tatek import classes, cli, graphs, modp, orbits, records, series
 from tatek.modp import StabiliserKind
 from tatek.selftest import run_selftest
 from tatek.graphs import EdgeOrbitRef, _WorkingGraph, canonical_graph, dumps, scramble_graph, slide
@@ -404,6 +405,11 @@ def clear_group_caches():
     orbits._minimum_mask.cache_clear()
 
 
+def check_rose_cover_slide_budget():
+    for p in (5, 7, 11):
+        test_graphs.assert_rose_covers_within_budget(p)
+
+
 # Mutants of one pipeline function each, as (module, name, the replacement,
 # the modules that hold it by name, the checks that must fail).  The sixth
 # turn replaced by the quarter turn makes the theta stabiliser the rose one,
@@ -413,8 +419,17 @@ def clear_group_caches():
 # fails the selftest's class count at n = p + 1.  A ``fixed_points`` that
 # counts the zero vector adds one to every Burnside average, which stays an
 # integer (9, 6 and 5 orbits at p = 5 for 8, 5 and 4): the orbit report's
-# match fails, not the integrality check.
+# match fails, not the integrality check.  A ``_slide_plan`` that always
+# slides forward still reaches the normal form, but past the slide budget of
+# a rose cover (p - 1 at p = 5 with steps (0, 2)) and off the reference's log.
 PIPELINE_MUTANTS = {
+    "slides_always_forward": (
+        graphs,
+        "_slide_plan",
+        lambda: mutated_method(graphs, "_slide_plan", ("if forward <= backward:", "if True:")),
+        ["tatek.graphs"],
+        [check_rose_cover_slide_budget, functools.partial(check_normalize_reference, None)],
+    ),
     "fixed_points_counting_zero": (
         orbits,
         "fixed_points",
