@@ -310,6 +310,18 @@ def demo_graph(name: str):
     return scramble_graph(g, Random(int(match.group(3))), max_expansions=expansions)
 
 
+def _read_graph_file(path: str) -> str:
+    """The text of a graph file, refused above ``MAX_GRAPH_FILE_CHARS``
+    characters before it is parsed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read(MAX_GRAPH_FILE_CHARS + 1)
+    if len(text) > MAX_GRAPH_FILE_CHARS:
+        raise GraphTooLarge(
+            f"graph file {path} is longer than the bound of {MAX_GRAPH_FILE_CHARS} characters"
+        )
+    return text
+
+
 def cmd_normalize(args) -> int:
     if bool(args.input) == bool(args.demo):
         raise ValueError("pass exactly one of --input FILE or --demo NAME")
@@ -317,16 +329,11 @@ def cmd_normalize(args) -> int:
         g = demo_graph(args.demo)
     else:
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read(MAX_GRAPH_FILE_CHARS + 1)
+            # The text goes to ``graph_loads`` as a temporary, which frees it
+            # once it is parsed; no name here may hold it.
+            g = graph_loads(_read_graph_file(args.input))
         except OSError as exc:
             return _domain_error(exc)
-        if len(text) > MAX_GRAPH_FILE_CHARS:
-            raise GraphTooLarge(
-                f"graph file {args.input} is longer than the bound of "
-                f"{MAX_GRAPH_FILE_CHARS} characters"
-            )
-        g = graph_loads(text)
     form, moves = normalize(g)
     k, rank = form.loops_per_vertex, form.rank
     items: list[Item] = [
@@ -517,6 +524,13 @@ def _argparse_parser():
             # request does.
             if message:
                 file.write(message)
+
+        def print_usage(self, file=None):
+            # ``error`` passes ``sys.stderr``, which is None with stderr
+            # closed before start; argparse's own ``print_usage`` would then
+            # write the usage to stdout.  It goes to the missing stream and
+            # fails there instead.
+            self._print_message(self.format_usage(), file)
 
     parser = ArgumentParser(
         prog="tatek",

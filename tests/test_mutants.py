@@ -422,7 +422,16 @@ def check_rose_cover_slide_budget():
 # match fails, not the integrality check.  A ``_slide_plan`` that always
 # slides forward still reaches the normal form, but past the slide budget of
 # a rose cover (p - 1 at p = 5 with steps (0, 2)) and off the reference's log.
+# A ``loads`` that keeps the text reads every graph right; only the memory
+# peak of building the graph after the parse shows it.
 PIPELINE_MUTANTS = {
+    "loads_keeping_the_text": (
+        graphs,
+        "loads",
+        lambda: mutated_method(graphs, "loads", ("del text", "pass")),
+        ["tatek.cli", "tatek.graphs"],
+        [test_graphs.test_loads_peaks_at_the_parse],
+    ),
     "slides_always_forward": (
         graphs,
         "_slide_plan",
