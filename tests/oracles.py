@@ -2,11 +2,11 @@
 
 Each computes, the slow and obvious way, something the package holds in
 another form: the graph file's JSON object, an edge orbit walked out step by
-step, the isomorphism test of single-orbit graphs, and the column action and
-powers of a matrix over Z/p.
+step, the steps of a single-orbit graph's edge orbits and the isomorphism test
+built on them, and the column action and powers of a matrix over Z/p.
 """
 
-from tatek.graphs import GraphStructureError, orbit_step_multiset
+from tatek.graphs import GraphStructureError, edge_orbit_refs, oriented_step
 from tatek.modp import Mat2P
 
 
@@ -35,6 +35,18 @@ def geometric_orbit(g, h) -> tuple[int, ...]:
             out.add(x)
             x = g.half_edge_action[x]
     return tuple(sorted(out))
+
+
+def unoriented_step(g, h) -> int:
+    """The rotation step of h's edge orbit, either way round."""
+    j = oriented_step(g, h)
+    return min(j, g.p - j)
+
+
+def orbit_step_multiset(g) -> list[int]:
+    """Sorted unoriented steps of all edge orbits (single vertex orbit only):
+    [0, ..., 0, 1] for the rose-cycle normal form."""
+    return sorted(unoriented_step(g, r.half_edge) for r in edge_orbit_refs(g))
 
 
 def isomorphic_single_orbit(g1, g2) -> bool:

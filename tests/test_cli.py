@@ -24,6 +24,7 @@ from tatek.orbits import NonIntegralOrbitCount, orbit_report
 from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
 from oracles import to_json_obj
+from test_golden_cli import run_main
 from test_normalize_reference import lone_cycle_graph
 
 # Representative invocations of every documented subcommand, both formats.
@@ -593,6 +594,47 @@ def test_registry_data_errors(doc, argv, message, registry_override, capsys):
     code, out, err = _main_in_process(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == f"error: RegistryDataError: {message}\n"
+
+
+# At p = 5, n = 6 the centraliser of theta(0,2) is finite x finite x AutF2, so
+# an AutF2 series meets the degree bound 2n = 12 of ``tate_k`` at degree 12.
+TATE_5_6_RECORDS = ["tate", "--p", "5", "--n", "6", "--format", "records"]
+
+
+def _autf2_reaching(tmp_path, degree: int) -> str:
+    """An override file whose AutF2 series has one more class, in ``degree``."""
+    path = tmp_path / f"autf2_degree_{degree}.json"
+    dims = {"0": 1, str(degree): 1}
+    doc = _with_entry("AutF2", {"status": "known", "citation": "x", "dims": dims})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def assert_series_at_degree_2n_is_summed(tmp_path):
+    result = run_main(TATE_5_6_RECORDS, registry=_autf2_reaching(tmp_path, 12))
+    assert (result["exit"], result["stderr"]) == (0, "")
+    lines = result["stdout"].splitlines()
+    assert lines[0] == (
+        "record=tate group=Out(F_6) p=5 n=6 status=known even=5 odd=0 weak_duality=true euler=5"
+    )
+    assert "record=contribution label=theta(0,2) even=2 odd=0" in lines
+
+
+def assert_series_above_degree_2n_is_refused(tmp_path):
+    result = run_main(TATE_5_6_RECORDS, registry=_autf2_reaching(tmp_path, 13))
+    assert (result["exit"], result["stdout"]) == (3, "")
+    assert result["stderr"] == (
+        "error: RegistryDataError: class theta(0,2): the registry dims of finite x finite x "
+        "AutF2 reach degree 13, above 2n = 12\n"
+    )
+
+
+def test_registry_series_at_degree_2n_is_summed(tmp_path):
+    assert_series_at_degree_2n_is_summed(tmp_path)
+
+
+def test_registry_series_at_degree_2n_plus_1_is_refused(tmp_path):
+    assert_series_above_degree_2n_is_refused(tmp_path)
 
 
 def _registries_with_a_huge_value() -> dict[str, dict]:

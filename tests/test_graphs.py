@@ -23,14 +23,13 @@ from tatek.graphs import (
     is_canonical_form,
     loads,
     normalize,
-    orbit_step_multiset,
     random_valid_graph,
     rank,
     replay,
     slide,
     validate,
 )
-from oracles import isomorphic_single_orbit, to_json_obj
+from oracles import isomorphic_single_orbit, orbit_step_multiset, to_json_obj
 from test_normalize_reference import reference_random_valid_graph, reference_scramble_graph
 
 
@@ -78,6 +77,48 @@ def test_canonical_graphs_validate():
             assert validate(g).ok
             assert rank(g) == p * k + 1
             assert is_canonical_form(g)
+
+
+# (p, steps of the edge orbits of ``single_orbit_graph``) and whether the
+# graph is the rose-cycle normal form: a cycle of step 2 or a second non-loop
+# orbit is not.
+CANONICAL_SHAPES = [
+    (2, [1], True),
+    (5, [1, 0], True),
+    (5, [0, 4, 0], True),
+    (5, [2, 0], False),
+    (7, [3], False),
+    (5, [1, 1], False),
+    (5, [0, 1, 2], False),
+    (3, [1, 0, 1], False),
+]
+
+
+def assert_canonical_shapes():
+    for p, steps, canonical in CANONICAL_SHAPES:
+        g = single_orbit_graph(p, steps)
+        assert validate(g).ok
+        assert is_canonical_form(g) is canonical, (p, steps)
+    assert not is_canonical_form(two_orbit_hexagon())
+
+
+def test_is_canonical_form_reads_the_shape():
+    assert_canonical_shapes()
+
+
+def test_validate_keeps_its_report_on_the_graph(monkeypatch):
+    g, bad = canonical_graph(5, 1), single_orbit_graph(5, [0])
+    report = validate(g)
+    assert validate(g) is report and report.ok
+    # A graph validated again is not walked again; another graph is.
+    monkeypatch.setattr(G, "_connected", lambda g: False)
+    assert validate(g) is report
+    assert validate(canonical_graph(5, 1)).violations == (
+        ("ConnectivityViolation", "graph is not connected"),
+    )
+    monkeypatch.undo()
+    assert validate(bad).violations == (("ConnectivityViolation", "graph is not connected"),)
+    assert validate(g) is report
 
 
 def test_rank_examples():
@@ -264,6 +305,80 @@ def test_expand_rejects_non_integer_half_edges():
         expand_orbit(g, 0, [True])
 
 
+# A scrambled graph of 12 vertices (four vertex orbits) and 36 half-edges,
+# and moves on it that name an index outside it, with the refusal of each.
+# -1 once counted from the end: as a vertex it was caught only by the
+# constructor's range check on the frozen graph, as a moved half-edge not at
+# all, and a collapse of -1 collapsed the orbit of the last half-edge.
+SCRAMBLED_3_2 = (3, 2, 1)
+EXPAND_REFUSALS = [
+    (-1, [], "vertex -1 is not an index in 0..11"),
+    (12, [], "vertex 12 is not an index in 0..11"),
+    (1.0, [], "vertex 1.0 is not an index in 0..11"),
+    (True, [], "vertex True is not an index in 0..11"),
+    (0, [-1], "half-edge -1 is not an index in 0..35"),
+    (0, [36], "half-edge 36 is not an index in 0..35"),
+]
+MOVE_REFUSALS = [
+    (Move("collapse", -1), "half-edge -1 is not an index in 0..35"),
+    (Move("collapse", 36), "half-edge 36 is not an index in 0..35"),
+    (Move("collapse", 2.0), "half-edge 2.0 is not an index in 0..35"),
+    (Move("slide", -2, 0), "half-edge -2 is not an index in 0..35"),
+    (Move("slide", 0, 36), "half-edge 36 is not an index in 0..35"),
+]
+
+
+def scrambled_3_2():
+    p, k, seed = SCRAMBLED_3_2
+    return G.scramble_graph(canonical_graph(p, k), Random(seed))
+
+
+def assert_refused(move, *args, message):
+    try:
+        move(scrambled_3_2(), *args)
+    except GraphStructureError as exc:
+        assert str(exc) == message
+    else:
+        raise AssertionError(f"{move.__name__}{args} was not refused")
+
+
+def assert_expand_refusals():
+    for vertex, moved, message in EXPAND_REFUSALS:
+        assert_refused(expand_orbit, vertex, moved, message=message)
+
+
+def assert_move_refusals():
+    for move, message in MOVE_REFUSALS:
+        assert_refused(replay, [move], message=message)
+
+
+@pytest.mark.parametrize(
+    "vertex, moved, message", EXPAND_REFUSALS, ids=[f"{v!r}-{m!r}" for v, m, _ in EXPAND_REFUSALS]
+)
+def test_expand_refuses_an_index_outside_the_graph(vertex, moved, message):
+    assert_refused(expand_orbit, vertex, moved, message=message)
+
+
+@pytest.mark.parametrize(
+    "move, message", MOVE_REFUSALS, ids=[f"{m.op}-{m.source!r}-{m.target!r}" for m, _ in MOVE_REFUSALS]
+)
+def test_collapse_and_slide_refuse_an_index_outside_the_graph(move, message):
+    assert_refused(replay, [move], message=message)
+
+
+def test_index_bound_follows_the_collapses():
+    after = replay(scrambled_3_2(), [Move("collapse", 35)])
+    assert after.n_half_edges == 30
+    with pytest.raises(GraphStructureError, match=r"^half-edge 30 is not an index in 0\.\.29$"):
+        replay(after, [Move("collapse", 30)])
+
+
+def test_slide_refuses_a_reference_outside_the_graph():
+    g = canonical_graph(3, 1)
+    with pytest.raises(GraphStructureError, match=r"^half-edge -1 is not an index in 0\.\.11$"):
+        slide(g, EdgeOrbitRef(-1), EdgeOrbitRef(0))
+
+
 def test_slide_loop_over_cycle_and_back():
     g = canonical_graph(3, 1)
     assert orbit_step_multiset(g) == [0, 1]
@@ -448,15 +563,23 @@ def test_normalize_scrambled_canonical_round_trip(p, k, seed):
 
 
 def count_built_graphs(monkeypatch, fn, *args, **kwargs):
-    """fn's result and the number of ``EquivariantGraph`` objects it built."""
+    """fn's result and the number of ``EquivariantGraph`` objects it built:
+    by the checked constructor, or by ``freeze``, which hands a working
+    copy's arrays over without it."""
     built = []
-    init = EquivariantGraph.__init__
+    init, freeze = EquivariantGraph.__init__, G._WorkingGraph.freeze
 
     def counting_init(self, *a, **kw):
         built.append(self)
         init(self, *a, **kw)
 
+    def counting_freeze(self):
+        g = freeze(self)
+        built.append(g)
+        return g
+
     monkeypatch.setattr(EquivariantGraph, "__init__", counting_init)
+    monkeypatch.setattr(G._WorkingGraph, "freeze", counting_freeze)
     try:
         return fn(*args, **kwargs), len(built)
     finally:

@@ -1,8 +1,9 @@
 """Named mutants: each replaces one function of the pipeline, in every
-``tatek`` module that holds it by name, or one method of the working graph, one
-function of the command-line parser or the orbit-minimum mask, and the oracles
-paired with it must then fail.  A mutant that nothing catches marks an oracle
-to strengthen."""
+``tatek`` module that holds it by name, or one method of the working graph or
+the registry, the validity report a graph keeps, one function of the
+command-line parser or the orbit-minimum mask, and the oracles paired with it
+must then fail.  A mutant that nothing catches marks an oracle to
+strengthen."""
 
 import functools
 import inspect
@@ -13,13 +14,16 @@ from random import Random
 
 import pytest
 
+import test_cli
 import test_cli_parser
 import test_graphs
 import test_normalize_reference
 import test_orbits
 import test_records
+import test_series
+import test_validate_reference
 import test_golden_moves as golden_moves
-from tatek import classes, cli, graphs, modp, orbits, records, series
+from tatek import assemble, classes, cli, graphs, modp, orbits, records, series
 from tatek.modp import StabiliserKind
 from tatek.selftest import run_selftest
 from tatek.graphs import EdgeOrbitRef, _WorkingGraph, canonical_graph, dumps, scramble_graph, slide
@@ -142,6 +146,32 @@ NEW_HALF_EDGES_REPRESENTED_APART = (
 )
 
 
+# Index checks that let a negative index count from the end, as list
+# indexing does: a collapse of -1 then collapses the orbit of the last
+# half-edge, and an expansion at vertex -1 attaches half-edges to vertex -1,
+# which only the constructor's checks, skipped by ``freeze``, would refuse.
+HALF_EDGES_COUNTED_FROM_THE_END = (
+    "_check_half_edge",
+    ("not 0 <= h < len(self.involution)", "not -len(self.involution) <= h < len(self.involution)"),
+)
+VERTICES_COUNTED_FROM_THE_END = (
+    "expand",
+    ("not 0 <= vertex < self.n_vertices", "not -self.n_vertices <= vertex < self.n_vertices"),
+)
+
+
+def check_expand_refusals(tmp_path):
+    test_graphs.assert_expand_refusals()
+
+
+def check_move_refusals(tmp_path):
+    test_graphs.assert_move_refusals()
+
+
+def check_moves_on_any_graph(tmp_path):
+    test_normalize_reference.test_a_move_on_any_graph_freezes_what_the_constructor_accepts()
+
+
 def check_golden_moves(tmp_path):
     for name, p, k, slides, expansions, seed, _ in golden_moves.CASES:
         g = golden_moves.scrambled(p, k, slides, expansions, seed)
@@ -181,11 +211,15 @@ def check_frozen_representatives(tmp_path):
             [check_golden_moves, check_normalize_reference, check_scrambled_demo_fixtures],
         ),
         (NEW_HALF_EDGES_REPRESENTED_APART, [check_frozen_representatives]),
+        (HALF_EDGES_COUNTED_FROM_THE_END, [check_move_refusals, check_expand_refusals]),
+        (VERTICES_COUNTED_FROM_THE_END, [check_expand_refusals, check_moves_on_any_graph]),
     ],
     ids=[
         "slide_writing_as_it_reads",
         "collapse_without_stepping",
         "new_half_edges_represented_apart",
+        "half_edges_counted_from_the_end",
+        "vertices_counted_from_the_end",
     ],
 )
 def test_working_graph_mutants_fail_their_oracles(mutation, checks, monkeypatch, tmp_path):
@@ -423,8 +457,31 @@ def check_rose_cover_slide_budget():
 # slides forward still reaches the normal form, but past the slide budget of
 # a rose cover (p - 1 at p = 5 with steps (0, 2)) and off the reference's log.
 # A ``loads`` that keeps the text reads every graph right; only the memory
-# peak of building the graph after the parse shows it.
+# peak of building the graph after the parse shows it.  ``normalize`` checks
+# its result by the rose-cycle shape alone, and its results always have it:
+# a shape rule that takes a cycle of any step, or any number of non-loop
+# orbits, shows only where ``is_canonical_form`` reads graphs off that shape.
 PIPELINE_MUTANTS = {
+    "shape_accepting_a_step_2_cycle": (
+        graphs,
+        "_has_rose_cycle_shape",
+        lambda: mutated_method(
+            graphs,
+            "_has_rose_cycle_shape",
+            ("all(rotate[u] == w or rotate[w] == u for u, w in ends)", "True"),
+        ),
+        ["tatek.graphs"],
+        [test_graphs.assert_canonical_shapes],
+    ),
+    "shape_accepting_a_second_non_loop_orbit": (
+        graphs,
+        "_has_rose_cycle_shape",
+        lambda: mutated_method(
+            graphs, "_has_rose_cycle_shape", ("len(ends) == 2 * p", "len(ends) % (2 * p) == 0")
+        ),
+        ["tatek.graphs"],
+        [test_graphs.assert_canonical_shapes],
+    ),
     "loads_keeping_the_text": (
         graphs,
         "loads",
@@ -502,3 +559,92 @@ def test_pipeline_mutants_fail_their_oracles(name, monkeypatch):
                     check()
     finally:
         clear_group_caches()
+
+
+def report_kept_on_the_class():
+    """``EquivariantGraph._validity`` derived once and kept for the class:
+    every graph validated after the first reads the first one's report."""
+    kept = []
+
+    def validity(g):
+        if not kept:
+            kept.append(graphs._axiom_report(g))
+        return kept[0]
+
+    return property(validity)
+
+
+def check_validate_reference(tmp_path):
+    test_validate_reference.test_validate_matches_reference_on_mutated_graphs()
+
+
+def check_report_kept_on_the_graph(tmp_path):
+    with pytest.MonkeyPatch.context() as patch:
+        test_graphs.test_validate_keeps_its_report_on_the_graph(patch)
+
+
+@pytest.mark.parametrize("check", [check_report_kept_on_the_graph, check_validate_reference])
+def test_report_kept_on_the_class_fails_the_validate_oracles(check, monkeypatch, tmp_path):
+    check(tmp_path)
+    monkeypatch.setattr(graphs.EquivariantGraph, "_validity", report_kept_on_the_class())
+    with pytest.raises(AssertionError):
+        check(tmp_path)
+
+
+def check_free_abelian_rank_0(tmp_path):
+    try:
+        test_series.test_free_abelian_of_rank_0_is_a_point()
+    except ValueError as exc:
+        raise AssertionError(f"rank 0 refused: {exc}") from exc
+
+
+def check_registry_without_version(tmp_path):
+    test_series.test_registry_document_without_version_is_version_0()
+
+
+# Survivors of a mutation sweep over ``assemble`` and ``series``, each now
+# caught, as (owner, name, replacement, the checks that must fail): the degree
+# bound of a registry series in ``tate_k`` moved to 2n or to 3n, a free abelian
+# group of rank 0 refused, and a registry document without a version read as
+# version 1.
+REGISTRY_MUTANTS = {
+    "degree_bound_from_2n": (
+        assemble,
+        "tate_k",
+        ("series.max_degree > 2 * n", "series.max_degree >= 2 * n"),
+        [test_cli.assert_series_at_degree_2n_is_summed],
+    ),
+    "degree_bound_above_3n": (
+        assemble,
+        "tate_k",
+        ("series.max_degree > 2 * n", "series.max_degree > 3 * n"),
+        [test_cli.assert_series_above_degree_2n_is_refused],
+    ),
+    "free_abelian_refusing_rank_0": (
+        series,
+        "series_free_abelian",
+        ("if rank < 0:", "if rank <= 0:"),
+        [check_free_abelian_rank_0],
+    ),
+    "registry_version_defaulting_to_1": (
+        series.Registry,
+        "from_document",
+        ('raw.get("version", 0)', 'raw.get("version", 1)'),
+        [check_registry_without_version],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_MUTANTS))
+def test_registry_mutants_fail_their_oracles(name, monkeypatch, tmp_path):
+    owner, attr, replacement, checks = REGISTRY_MUTANTS[name]
+    for check in checks:
+        check(tmp_path)
+    mutant = mutated_method(owner, attr, replacement)
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, attr, mutant)
+    else:
+        assert patch_everywhere(monkeypatch, getattr(owner, attr), mutant)
+    for check in checks:
+        with pytest.raises(AssertionError):
+            check(tmp_path)

@@ -13,6 +13,9 @@ cannot be normalised; the normal form, the move log, and the type and message
 of any exception must agree.  ``reference_scramble_graph`` keeps every graph
 on its way, so the tests that check each scrambling step read its trace, and
 the package's scramble must build the same graph from the same draws.
+``freeze`` skips the constructor's checks and ``normalize`` checks its normal
+form by shape alone, so the last properties here give every frozen graph to
+the checked constructor and every normal form to the full ``validate``.
 
 ``reference_normalize`` builds the p-cycle by the same rule as the package,
 on frozen graphs: a half-edge from vertex 0 to its rotate, else the slides
@@ -30,7 +33,8 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import geometric_orbit
+from oracles import geometric_orbit, orbit_step_multiset, unoriented_step
+from test_validate_reference import arbitrary_graphs
 from tatek.graphs import (
     EdgeOrbitRef,
     EquivariantGraph,
@@ -52,14 +56,12 @@ from tatek.graphs import (
     is_canonical_form,
     loads,
     normalize,
-    orbit_step_multiset,
     oriented_step,
     random_valid_graph,
     rank,
     replay,
     scramble_graph,
     slide,
-    unoriented_step,
     validate,
 )
 
@@ -602,3 +604,105 @@ def test_frozen_representatives_equal_fresh_ones(p, k, seed, ops, reload_at):
     g = work.freeze()
     assert_representatives_fresh(g)
     assert validate(g).ok
+
+
+def assert_constructor_accepts(g):
+    """The checked constructor, given ``g``'s own arrays, builds ``g``."""
+    try:
+        again = EquivariantGraph(
+            p=g.p,
+            n_vertices=g.n_vertices,
+            involution=g.involution,
+            attach=g.attach,
+            vertex_action=g.vertex_action,
+            half_edge_action=g.half_edge_action,
+        )
+    except GraphStructureError as exc:
+        raise AssertionError(f"the constructor refuses a frozen graph: {exc}") from exc
+    assert again == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    k=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+    ops=st.lists(st.sampled_from(["slide", "collapse", "expand"]), max_size=12),
+)
+def test_frozen_graphs_pass_the_constructor_checks(p, k, seed, ops):
+    """``freeze`` skips the constructor's checks: after any mix of scrambling
+    moves, and after each move of the log that normalises the result, the
+    frozen graph is the one the checked constructor builds from its arrays."""
+    rng = Random(seed)
+    work = _WorkingGraph(canonical_graph(p, k))
+    for op in ops:
+        move_at_random(work, op, rng)
+    g = work.freeze()
+    assert_constructor_accepts(g)
+    _, moves = normalize(g)
+    for move in moves:
+        g = replay(g, [move])
+        assert_constructor_accepts(g)
+
+
+# Indices from just below 0 to just above the largest arbitrary graph.
+INDICES = st.integers(-2, 14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=arbitrary_graphs(),
+    op=st.sampled_from(["collapse", "slide", "expand"]),
+    first=INDICES,
+    second=INDICES,
+    moved=st.lists(INDICES, max_size=3),
+)
+# An expansion at vertex -1 would attach half-edges to vertex -1.
+@example(g=canonical_graph(3, 1), op="expand", first=-1, second=0, moved=[])
+def test_a_move_on_any_graph_freezes_what_the_constructor_accepts(g, op, first, second, moved):
+    """Valid or not, a graph that passed the constructor stays one it passes
+    under any move that is not refused, indices outside the graph included."""
+    try:
+        if op == "expand":
+            out, _ = expand_orbit(g, first, moved)
+        else:
+            out = replay(g, [Move(op, first, second if op == "slide" else None)])
+    except (GraphStructureError, NotAForest, SameOrbit, NotComposable):
+        return
+    assert_constructor_accepts(out)
+
+
+def normalize_keeping_its_graph(g):
+    """``normalize(g)`` and the graph it froze, its normal form."""
+    frozen = []
+    freeze = _WorkingGraph.freeze
+
+    def keeping(self):
+        frozen.append(freeze(self))
+        return frozen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_WorkingGraph, "freeze", keeping)
+        result = normalize(g)
+    (normal,) = frozen
+    return result, normal
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 13)),
+    k=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+    slides=st.integers(0, 12),
+    expansions=st.integers(0, 6),
+)
+def test_normal_forms_pass_the_full_validation(p, k, seed, slides, expansions):
+    """``normalize`` checks its result by shape alone; each normal form it
+    builds must also pass ``validate`` in full and be what its log replays to."""
+    g = scramble_graph(canonical_graph(p, k), Random(seed), max_slides=slides, max_expansions=expansions)
+    (form, moves), normal = normalize_keeping_its_graph(g)
+    assert (form.p, form.loops_per_vertex) == (p, k)
+    assert validate(normal).ok and is_canonical_form(normal)
+    assert orbit_step_multiset(normal) == [0] * k + [1]
+    assert replay(g, moves) == normal
+    assert_constructor_accepts(normal)

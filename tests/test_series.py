@@ -54,6 +54,13 @@ def test_even_odd_examples():
     assert even_odd_totals(PoincareSeries.from_dims({0: 1, 1: 1})) == (1, 1)
 
 
+def test_free_abelian_of_rank_0_is_a_point():
+    assert dict(series_of(FreeAbelian(0)).pairs) == {0: 1}
+    assert even_odd_totals(series_of(FreeAbelian(0))) == (1, 0)
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        series_of(FreeAbelian(-1))
+
+
 def test_free_abelian_totals_are_balanced():
     for r in range(1, 9):
         assert even_odd_totals(series_of(FreeAbelian(r))) == (2 ** (r - 1), 2 ** (r - 1))
@@ -230,6 +237,16 @@ def test_registry_version_and_roundtrip(tmp_path):
     }
     loaded = Registry.from_json_text(json.dumps(custom))
     assert dict(loaded.lookup("TestEntry").series.pairs) == {0: 1, 2: 3}
+
+
+def test_registry_document_without_version_is_version_0():
+    doc = copy.deepcopy(bundled.COHOMOLOGY_REGISTRY)
+    del doc["version"]
+    registry = Registry.from_document(doc)
+    assert registry.version == 0
+    assert Registry.from_json_text(json.dumps(doc)).version == 0
+    for name in doc["entries"]:
+        assert registry.lookup(name) == default_registry().lookup(name)
 
 
 def test_registry_rejects_bad_entries():
