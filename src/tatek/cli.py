@@ -44,6 +44,7 @@ from .classes import centraliser_of, order_p_classes
 from .graphs import (
     MAX_GRAPH_FILE_CHARS,
     MAX_HALF_EDGES,
+    SCRAMBLE_EXPANSIONS,
     GraphTooLarge,
     NormalizationError,
     canonical_graph,
@@ -294,7 +295,7 @@ def demo_graph(name: str):
         )
     p, k = int(match.group(1)), int(match.group(2))
     check_prime(p)
-    expansions = 0 if canonical else 4
+    expansions = 0 if canonical else SCRAMBLE_EXPANSIONS
     half_edges = 2 * p * (k + 1 + expansions)
     if half_edges > MAX_HALF_EDGES:
         count = "2p(k+1)" if canonical else f"up to 2p(k+{1 + expansions})"
@@ -307,7 +308,7 @@ def demo_graph(name: str):
         return g
     from random import Random
 
-    return scramble_graph(g, Random(int(match.group(3))), max_expansions=expansions)
+    return scramble_graph(g, Random(int(match.group(3))))
 
 
 def _read_graph_file(path: str) -> str:

@@ -800,8 +800,7 @@ def normalize(g: EquivariantGraph) -> tuple[NormalForm, tuple[Move, ...]]:
     1.5 us per half-edge: the slowest of 10 seeds at p = 2 took 5 ms at 4,000
     half-edges, 44 ms at 32,000 and 0.20 s at 100,000, and
     ``scrambled_p5_k4999_seed1`` (H = 50,030) 70 ms, in process time on a
-    2-vCPU Xeon with Python 3.11 (10 ms, 89 ms, 0.40 s and 0.13 s when the
-    normal form was validated in full and built by the checked constructor).
+    2-vCPU Xeon with Python 3.11.
     """
     report = validate(g)
     if not report.ok:
@@ -873,15 +872,16 @@ def normalize(g: EquivariantGraph) -> tuple[NormalForm, tuple[Move, ...]]:
 # Randomized valid inputs (inverse moves from canonical forms)
 
 
-def scramble_graph(
-    g: EquivariantGraph,
-    rng: Random,
-    max_slides: int = 6,
-    max_expansions: int = 4,
-) -> EquivariantGraph:
-    """Apply random inverse moves: slides (while a single vertex orbit with at
-    least two edge orbits allows them), then equivariant expansions.  Each
-    step leaves a valid graph.
+# Most slides and expansions one scramble draws.
+SCRAMBLE_SLIDES = 6
+SCRAMBLE_EXPANSIONS = 4
+
+
+def scramble_graph(g: EquivariantGraph, rng: Random) -> EquivariantGraph:
+    """Apply random inverse moves: up to ``SCRAMBLE_SLIDES`` slides (while a
+    single vertex orbit with at least two edge orbits allows them), then up to
+    ``SCRAMBLE_EXPANSIONS`` equivariant expansions.  Each step leaves a valid
+    graph.
 
     All the moves run on one working copy, frozen once; no intermediate
     graph is built.  Slides keep every edge orbit, so the representatives are
@@ -890,37 +890,17 @@ def scramble_graph(
     work = _WorkingGraph(g)
     reps = work.orbit_reps()
     if work.n_vertex_orbits == 1 and len(reps) >= 2:
-        for _ in range(rng.randrange(0, max_slides + 1)):
+        for _ in range(rng.randrange(0, SCRAMBLE_SLIDES + 1)):
             s, t = rng.sample(reps, 2)
             hs = s if rng.random() < 0.5 else work.involution[s]
             t_family = t if rng.random() < 0.5 else work.involution[t]
             ht = _halfedge_of_family_at(work, t_family, work.attach[work.involution[hs]])
             work.slide(hs, ht)
-    for _ in range(rng.randrange(0, max_expansions + 1)):
+    for _ in range(rng.randrange(0, SCRAMBLE_EXPANSIONS + 1)):
         vertex = rng.randrange(work.n_vertices)
         moved = [h for h, v in enumerate(work.attach) if v == vertex and rng.random() < 0.5]
         work.expand(vertex, moved)
     return work.freeze()
-
-
-def random_valid_graph(
-    p: int,
-    max_rank: int,
-    rng: Random,
-    max_slides: int = 6,
-    max_expansions: int = 4,
-) -> EquivariantGraph:
-    """A valid graph generated by inverse moves from a random canonical form.
-
-    Moves preserve the rank, so the rank is fixed by the chosen canonical
-    form and stays within ``max_rank``.
-    """
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    k = rng.randrange(0, (max_rank - 1) // p + 1)
-    return scramble_graph(
-        canonical_graph(p, k), rng, max_slides=max_slides, max_expansions=max_expansions
-    )
 
 
 # ---------------------------------------------------------------------------

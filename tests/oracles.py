@@ -3,10 +3,17 @@
 Each computes, the slow and obvious way, something the package holds in
 another form: the graph file's JSON object, an edge orbit walked out step by
 step, the steps of a single-orbit graph's edge orbits and the isomorphism test
-built on them, and the column action and powers of a matrix over Z/p.
+built on them, and the column action and powers of a matrix over Z/p.  Beside
+them, ``random_valid_graph`` draws the scrambled graphs many tests start from.
 """
 
-from tatek.graphs import GraphStructureError, edge_orbit_refs, oriented_step
+from tatek.graphs import (
+    GraphStructureError,
+    canonical_graph,
+    edge_orbit_refs,
+    oriented_step,
+    scramble_graph,
+)
 from tatek.modp import Mat2P
 
 
@@ -24,6 +31,12 @@ def to_json_obj(g) -> dict:
         "vertex_action": list(g.vertex_action),
         "half_edge_action": list(g.half_edge_action),
     }
+
+
+def random_valid_graph(p, max_rank, rng):
+    """A canonical form of rank at most ``max_rank``, scrambled by inverse moves."""
+    k = rng.randrange(0, (max_rank - 1) // p + 1)
+    return scramble_graph(canonical_graph(p, k), rng)
 
 
 def geometric_orbit(g, h) -> tuple[int, ...]:

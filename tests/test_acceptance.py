@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 from expected_tables import ROWS, expected_count, row_matrices
-from oracles import isomorphic_single_orbit
+from oracles import isomorphic_single_orbit, random_valid_graph
 from test_graphs import single_orbit_graph
 from test_normalize_reference import reference_random_valid_graph
 
@@ -34,7 +34,6 @@ from tatek.graphs import (
     expand_orbit,
     is_canonical_form,
     normalize,
-    random_valid_graph,
     rank,
     replay,
     slide,

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tatek import bundled, cli
+from tatek import bundled, cli, graphs, selftest
 from tatek.graphs import (
     MAX_GRAPH_FILE_CHARS,
     MAX_HALF_EDGES,
@@ -742,6 +743,83 @@ def test_selftest_refuses_max_p_above_the_orbit_bound(monkeypatch, capsys):
     assert err == (
         "error: OrbitPrimeTooLarge: max_p = 2003 exceeds the orbit partition bound 2000\n"
     )
+
+
+def assert_selftest_accepts_the_orbit_bound(tmp_path=None):
+    # The bound itself passes the refusal.  No sweep over the primes runs, so
+    # only the tables, the examples and the graph check do.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("tatek.selftest.primes_up_to", lambda limit: [])
+        result = run_main(["selftest", "--max-p", "2000"])
+    assert (result["exit"], result["stderr"]) == (0, "")
+    assert result["stdout"].splitlines()[-1].endswith(" passed, 0 failed")
+
+
+def test_selftest_accepts_max_p_at_the_orbit_bound():
+    assert_selftest_accepts_the_orbit_bound()
+
+
+# Each prime bound is itself let through to the primality test: none of the
+# three bounds is prime, so each is refused as a composite, not as too large.
+COMPOSITES_AT_THE_PRIME_BOUNDS = {
+    "modp.MAX_PRIME": ["tate", "--p", "100000000000", "--n", "3"],
+    "orbits.MAX_ORBIT_PRIME": ["orbits", "--p", "2000"],
+    "assemble.MAX_EXAMPLE_PRIME": ["example", "--name", "gl", "--p", "5000"],
+}
+
+
+def assert_composite_at_the_bound_is_refused(bound, tmp_path=None):
+    argv = COMPOSITES_AT_THE_PRIME_BOUNDS[bound]
+    p = argv[argv.index("--p") + 1]
+    result = run_main(argv)
+    assert (result["exit"], result["stdout"]) == (3, "")
+    assert result["stderr"] == f"error: ValueError: modulus must be prime, got {p}\n"
+
+
+@pytest.mark.parametrize("bound", sorted(COMPOSITES_AT_THE_PRIME_BOUNDS))
+def test_composite_at_each_prime_bound_is_refused_as_composite(bound):
+    assert_composite_at_the_bound_is_refused(bound)
+
+
+def test_selftest_sweep_draws_the_same_graphs(monkeypatch):
+    """The graph check's 30 inputs, pinned by digest: a changed draw would
+    otherwise hide behind an unchanged pass count."""
+    inputs = []
+    normalize = graphs.normalize
+
+    def recording(g):
+        inputs.append(graphs.dumps(g))
+        return normalize(g)
+
+    monkeypatch.setattr(graphs, "normalize", recording)
+    assert selftest.run_selftest(5)[1]
+    assert len(inputs) == 30
+    assert hashlib.sha256("".join(inputs).encode()).hexdigest() == (
+        "da88112144f6c4e43a3371bdd2c2e3f9ed159e2e9fa87402157b8c6ecc878985"
+    )
+
+
+def test_selftest_reports_each_failed_fact(monkeypatch, capsys):
+    monkeypatch.setitem(selftest.EXPECTED_TABLE4, (2, 2), (5, 0))
+    monkeypatch.setitem(selftest.EXPECTED_TABLE5, (3, 5), (9, 9))
+    code, out, err = _main_in_process(capsys, "selftest", "--max-p", "5")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "ok   stabiliser group orders: 9 passed, 0 failed",
+        "ok   orbit counts: burnside == brute force == closed form: 9 passed, 0 failed",
+        "ok   quotient graph Betti numbers: 3 passed, 0 failed",
+        "ok   rank p+1 assembly: even dim 4, odd dim from orbit counting: 2 passed, 0 failed",
+        "ok   weak duality pattern across the supported ranks: 4 passed, 0 failed",
+        "ok   class counts over the periodic range: 4 passed, 0 failed",
+        "FAIL published table cells: 30 passed, 2 failed",
+        "     - table 4 cell (n=2, p=2): got TableCell(n=2, p=2, status='known', even=4, odd=0, "
+        "blocker=None, reason=None)",
+        "     - table 5 cell (n=3, p=5): got TableCell(n=3, p=5, status='known', even=1, odd=0, "
+        "blocker=None, reason=None)",
+        "ok   example families: 34 passed, 0 failed",
+        "ok   equivariant graph moves and normal forms: 90 passed, 0 failed",
+        "selftest total: 185 passed, 2 failed",
+    ]
 
 
 # A scrambled name is refused from its worst case: 2p(k+1) half-edges and up

@@ -1,9 +1,9 @@
 """Named mutants: each replaces one function of the pipeline, in every
 ``tatek`` module that holds it by name, or one method of the working graph or
 the registry, the validity report a graph keeps, one function of the
-command-line parser or the orbit-minimum mask, and the oracles paired with it
-must then fail.  A mutant that nothing catches marks an oracle to
-strengthen."""
+command-line parser or the orbit-minimum mask, or one prime-bound check, and
+the oracles paired with it must then fail.  A mutant that nothing catches
+marks an oracle to strengthen."""
 
 import functools
 import inspect
@@ -23,7 +23,7 @@ import test_records
 import test_series
 import test_validate_reference
 import test_golden_moves as golden_moves
-from tatek import assemble, classes, cli, graphs, modp, orbits, records, series
+from tatek import assemble, classes, cli, graphs, modp, orbits, records, selftest, series
 from tatek.modp import StabiliserKind
 from tatek.selftest import run_selftest
 from tatek.graphs import EdgeOrbitRef, _WorkingGraph, canonical_graph, dumps, scramble_graph, slide
@@ -186,8 +186,8 @@ def check_normalize_reference(tmp_path):
     for config in gen_graphs.GRAPH_CONFIGS[:2]:
         assert_normalize_agrees(gen_graphs.scrambled(*config, Random(1)))
     start = canonical_graph(5, 6)
-    expected, _ = reference_scramble_graph(start, Random(3), 12)
-    assert scramble_graph(start, Random(3), 12) == expected
+    expected, _ = reference_scramble_graph(start, Random(3))
+    assert scramble_graph(start, Random(3)) == expected
     args = (partners_off_the_action_graph(), EdgeOrbitRef(0), EdgeOrbitRef(3))
     assert slide(*args) == reference_slide(*args)
 
@@ -635,9 +635,7 @@ REGISTRY_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY_MUTANTS))
-def test_registry_mutants_fail_their_oracles(name, monkeypatch, tmp_path):
-    owner, attr, replacement, checks = REGISTRY_MUTANTS[name]
+def assert_mutant_fails(owner, attr, replacement, checks, monkeypatch, tmp_path):
     for check in checks:
         check(tmp_path)
     mutant = mutated_method(owner, attr, replacement)
@@ -648,3 +646,46 @@ def test_registry_mutants_fail_their_oracles(name, monkeypatch, tmp_path):
     for check in checks:
         with pytest.raises(AssertionError):
             check(tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_MUTANTS))
+def test_registry_mutants_fail_their_oracles(name, monkeypatch, tmp_path):
+    assert_mutant_fails(*REGISTRY_MUTANTS[name], monkeypatch, tmp_path)
+
+
+# Each prime bound moved to refuse the bound itself.  None of the bounds is
+# prime, so only the error class and message show the mutant: ``PrimeTooLarge``
+# and the like instead of the composite's ``ValueError``, or a refused
+# ``selftest --max-p 2000``.
+refused_as_composite = test_cli.assert_composite_at_the_bound_is_refused
+PRIME_BOUND_MUTANTS = {
+    "prime_bound_refusing_the_bound": (
+        modp,
+        "check_prime",
+        ("if p > MAX_PRIME:", "if p >= MAX_PRIME:"),
+        [functools.partial(refused_as_composite, "modp.MAX_PRIME")],
+    ),
+    "orbit_bound_refusing_the_bound": (
+        orbits,
+        "check_orbit_prime",
+        ("if p > MAX_ORBIT_PRIME:", "if p >= MAX_ORBIT_PRIME:"),
+        [functools.partial(refused_as_composite, "orbits.MAX_ORBIT_PRIME")],
+    ),
+    "example_bound_refusing_the_bound": (
+        assemble,
+        "_check_example_prime",
+        ("if p > MAX_EXAMPLE_PRIME:", "if p >= MAX_EXAMPLE_PRIME:"),
+        [functools.partial(refused_as_composite, "assemble.MAX_EXAMPLE_PRIME")],
+    ),
+    "selftest_bound_refusing_the_bound": (
+        selftest,
+        "run_selftest",
+        ("if max_p > orbits.MAX_ORBIT_PRIME:", "if max_p >= orbits.MAX_ORBIT_PRIME:"),
+        [test_cli.assert_selftest_accepts_the_orbit_bound],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_BOUND_MUTANTS))
+def test_prime_bound_mutants_fail_their_oracles(name, monkeypatch, tmp_path):
+    assert_mutant_fails(*PRIME_BOUND_MUTANTS[name], monkeypatch, tmp_path)

@@ -12,12 +12,11 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import geometric_orbit
+from oracles import geometric_orbit, random_valid_graph
 from tatek.graphs import (
     EquivariantGraph,
     _WorkingGraph,
     edge_orbit_refs,
-    random_valid_graph,
     validate,
 )
 
@@ -194,7 +193,10 @@ def midpoint_flip(g, rng):
 
 
 def disjoint_union(g, rng):
-    other = random_valid_graph(g.p, 2 * g.p + 1, rng, max_slides=2, max_expansions=1)
+    # Imported here: test_normalize_reference imports this module.
+    from test_normalize_reference import reference_random_valid_graph
+
+    other, _ = reference_random_valid_graph(g.p, 2 * g.p + 1, rng, 2, 1)
     V, H = g.n_vertices, g.n_half_edges
     return EquivariantGraph(
         p=g.p,
