@@ -283,7 +283,8 @@ class Registry:
         if not isinstance(raw_entries, dict):
             raise RegistryDataError("registry document: entries missing or not an object")
         version = raw.get("version", 0)
-        if not isinstance(version, int):
+        # A JSON true or false parses to a bool, which isinstance takes for an int.
+        if type(version) is not int:
             raise RegistryDataError(
                 f"registry document: version {_shown(version)} is not an integer"
             )

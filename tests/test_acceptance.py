@@ -11,9 +11,9 @@ import subprocess
 import sys
 
 from expected_tables import ROWS, expected_count, row_matrices
+from graph_references import reference_random_valid_graph
 from oracles import isomorphic_single_orbit, random_valid_graph
 from test_graphs import single_orbit_graph
-from test_normalize_reference import reference_random_valid_graph
 
 import tatek.graphs as G
 from tatek.assemble import (

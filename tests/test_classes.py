@@ -25,6 +25,12 @@ def labels(class_list):
     return [c.label for c in class_list.classes]
 
 
+def theta_parameters(c):
+    """(s, t) of a class labelled ``theta(s,t)``."""
+    s, t = c.label.removeprefix("theta(").removesuffix(")").split(",")
+    return int(s), int(t)
+
+
 def test_rank_below_torsion_bound_is_empty_and_complete():
     for p, n in ((5, 2), (5, 3), (7, 4), (11, 8)):
         class_list = order_p_classes(p, n)
@@ -64,7 +70,7 @@ def test_theta_parameters():
         for n in range(p - 1, 2 * p - 2):
             for c in order_p_classes(p, n).classes:
                 if c.kind == "theta":
-                    s, t = c.params
+                    s, t = theta_parameters(c)
                     assert s + t == n - p + 1
                     assert 0 <= s <= t
 
@@ -72,7 +78,7 @@ def test_theta_parameters():
 def test_theta_aut_level_note_only_when_asymmetric():
     for c in order_p_classes(11, 12).classes:
         if c.kind == "theta":
-            s, t = c.params
+            s, t = theta_parameters(c)
             assert bool(c.aut_level_note) == (s != t)
 
 

@@ -534,6 +534,16 @@ def _with_entry(name: str, body) -> dict:
             "registry document: version '2' is not an integer",
         ),
         (
+            dict(_bundled_registry(), version=True),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry document: version True is not an integer",
+        ),
+        (
+            dict(_bundled_registry(), version=False),
+            ["tate", "--p", "5", "--n", "6"],
+            "registry document: version False is not an integer",
+        ),
+        (
             _with_entry("AutF4", ["known"]),
             ["table", "--which", "4"],
             "registry entry AutF4: not an object",
@@ -585,7 +595,8 @@ def _with_entry(name: str, body) -> dict:
         ),
     ],
     ids=[
-        "known_without_dims", "no_entries", "version", "entry_not_object", "bad_dims", "above_2n",
+        "known_without_dims", "no_entries", "version", "version_true", "version_false",
+        "entry_not_object", "bad_dims", "above_2n",
         "float_dim", "bool_dim", "string_dim", "leading_zero_degree", "citation_not_text",
         "infinite_dim",
     ],

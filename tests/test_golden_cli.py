@@ -14,6 +14,7 @@ root::
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -27,6 +28,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tatek import cli
+from tatek.modp import is_prime
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden_cli"
@@ -176,6 +178,31 @@ def test_invocation_names_are_unique():
 def test_cli_output_matches_golden(argv):
     expected = json.loads((GOLDEN_DIR / f"{fixture_name(argv)}.json").read_text(encoding="utf-8"))
     assert run_main(argv) == expected
+
+
+# SHA-256 over the stdout of ``classes --p P --n N --format records``, run in
+# the order of ``class_list_pairs``: every class list of the enumeration
+# pinned at once, where the fixtures above show only a few.
+CLASS_LISTS_SHA256 = "0bae8292d8b21ddad3159f642b78ae176b646a3297de1f16fe34209c39726fec"
+
+
+def class_list_pairs():
+    """(2, 2), every prime P < 60 at the ranks N = 2..2P-3, then (5, 8)."""
+    yield 2, 2
+    for p in range(3, 60):
+        if is_prime(p):
+            for n in range(2, 2 * p - 2):
+                yield p, n
+    yield 5, 8
+
+
+def test_class_lists_match_their_digest():
+    digest = hashlib.sha256()
+    for p, n in class_list_pairs():
+        result = run_main(["classes", "--p", str(p), "--n", str(n), "--format", "records"])
+        assert (result["exit"], result["stderr"]) == (0, ""), (p, n)
+        digest.update(result["stdout"].encode())
+    assert digest.hexdigest() == CLASS_LISTS_SHA256
 
 
 # Exits 0, 2, 3 and 4, argparse's stdout and stderr, and both formats.

@@ -28,8 +28,8 @@ from tatek.graphs import (
     slide,
     validate,
 )
+from graph_references import reference_random_valid_graph, reference_scramble_graph
 from oracles import isomorphic_single_orbit, orbit_step_multiset, random_valid_graph, to_json_obj
-from test_normalize_reference import reference_random_valid_graph, reference_scramble_graph
 
 
 def single_orbit_graph(p, steps):

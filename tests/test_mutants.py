@@ -14,6 +14,7 @@ from random import Random
 
 import pytest
 
+import test_classes
 import test_cli
 import test_cli_parser
 import test_graphs
@@ -23,6 +24,7 @@ import test_records
 import test_series
 import test_validate_reference
 import test_golden_moves as golden_moves
+from graph_references import reference_scramble_graph, reference_slide
 from tatek import assemble, classes, cli, graphs, modp, orbits, records, selftest, series
 from tatek.modp import StabiliserKind
 from tatek.selftest import run_selftest
@@ -32,8 +34,6 @@ from test_normalize_reference import (
     assert_normalize_agrees,
     gen_graphs,
     partners_off_the_action_graph,
-    reference_scramble_graph,
-    reference_slide,
 )
 
 
@@ -439,6 +439,14 @@ def clear_group_caches():
     orbits._minimum_mask.cache_clear()
 
 
+def check_theta_parameters():
+    """``test_classes.test_theta_parameters`` on whatever ``order_p_classes``
+    the ``tatek`` modules hold now."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(test_classes, "order_p_classes", classes.order_p_classes)
+        test_classes.test_theta_parameters()
+
+
 def check_rose_cover_slide_budget():
     for p in (5, 7, 11):
         test_graphs.assert_rose_covers_within_budget(p)
@@ -450,7 +458,9 @@ def check_rose_cover_slide_budget():
 # and the quotient graph's Betti number negative at p = 2, 5 and 7.  A
 # ``merge_citations`` that keeps duplicates passes ``run_selftest``: only the
 # golden fixtures catch it.  An ``order_p_classes`` without the phi class
-# fails the selftest's class count at n = p + 1.  A ``fixed_points`` that
+# fails the selftest's class count at n = p + 1; one whose theta parameters
+# sum to n - p + 2 lists the wrong thetas; one that refuses (5, 8) leaves the
+# Table 4 cell (8, 5) unknown.  A ``fixed_points`` that
 # counts the zero vector adds one to every Burnside average, which stays an
 # integer (9, 6 and 5 orbits at p = 5 for 8, 5 and 4): the orbit report's
 # match fails, not the integrality check.  A ``_slide_plan`` that always
@@ -539,6 +549,22 @@ PIPELINE_MUTANTS = {
             "tate_p_5_n_6_format_text",
         ),
     ),
+    "theta_total_off_by_one": (
+        classes,
+        "order_p_classes",
+        lambda: mutated_method(
+            classes, "order_p_classes", ("total = n - p + 1", "total = n - p + 2")
+        ),
+        ["tatek.assemble", "tatek.classes", "tatek.cli"],
+        [check_theta_parameters] + fixture_checks("classes_p_11_n_12_format_records"),
+    ),
+    "delta_pair_out_of_range": (
+        classes,
+        "order_p_classes",
+        lambda: mutated_method(classes, "order_p_classes", (" and (p, n) != (5, 8)", "")),
+        ["tatek.assemble", "tatek.classes", "tatek.cli"],
+        [check_selftest] + fixture_checks("classes_p_5_n_8_format_text"),
+    ),
 }
 
 
@@ -602,11 +628,19 @@ def check_registry_without_version(tmp_path):
     test_series.test_registry_document_without_version_is_version_0()
 
 
+def check_registry_refusing_boolean_versions(tmp_path):
+    for version in (True, False):
+        try:
+            test_series.test_registry_document_with_boolean_version_is_refused(version)
+        except pytest.fail.Exception as exc:
+            raise AssertionError(f"version {version} accepted") from exc
+
+
 # Survivors of a mutation sweep over ``assemble`` and ``series``, each now
 # caught, as (owner, name, replacement, the checks that must fail): the degree
 # bound of a registry series in ``tate_k`` moved to 2n or to 3n, a free abelian
-# group of rank 0 refused, and a registry document without a version read as
-# version 1.
+# group of rank 0 refused, a registry document without a version read as
+# version 1, and a JSON true or false taken for an integer version.
 REGISTRY_MUTANTS = {
     "degree_bound_from_2n": (
         assemble,
@@ -631,6 +665,12 @@ REGISTRY_MUTANTS = {
         "from_document",
         ('raw.get("version", 0)', 'raw.get("version", 1)'),
         [check_registry_without_version],
+    ),
+    "registry_version_accepting_booleans": (
+        series.Registry,
+        "from_document",
+        ("type(version) is not int", "not isinstance(version, int)"),
+        [check_registry_refusing_boolean_versions],
     ),
 }
 

@@ -249,6 +249,14 @@ def test_registry_document_without_version_is_version_0():
         assert registry.lookup(name) == default_registry().lookup(name)
 
 
+@pytest.mark.parametrize("version", [True, False])
+def test_registry_document_with_boolean_version_is_refused(version):
+    text = json.dumps({"version": version, "entries": {}})
+    with pytest.raises(RegistryDataError) as info:
+        Registry.from_json_text(text)
+    assert str(info.value) == f"registry document: version {version} is not an integer"
+
+
 def test_registry_rejects_bad_entries():
     with pytest.raises(ValueError):
         Registry.from_json_text(

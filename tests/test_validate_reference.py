@@ -12,6 +12,7 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
+from graph_references import arbitrary_graphs, reference_random_valid_graph
 from oracles import geometric_orbit, random_valid_graph
 from tatek.graphs import (
     EquivariantGraph,
@@ -193,9 +194,6 @@ def midpoint_flip(g, rng):
 
 
 def disjoint_union(g, rng):
-    # Imported here: test_normalize_reference imports this module.
-    from test_normalize_reference import reference_random_valid_graph
-
     other, _ = reference_random_valid_graph(g.p, 2 * g.p + 1, rng, 2, 1)
     V, H = g.n_vertices, g.n_half_edges
     return EquivariantGraph(
@@ -234,22 +232,6 @@ def test_validate_matches_reference_on_mutated_graphs(p, seed, mutations):
     for name in mutations:
         g = MUTATIONS[name](g, rng)
     assert_agrees(g)
-
-
-@st.composite
-def arbitrary_graphs(draw):
-    """Any permutation data at all: most of it violates several axioms."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    n = draw(st.integers(1, 6))
-    h = draw(st.integers(0, 12))
-    return EquivariantGraph(
-        p=p,
-        n_vertices=n,
-        involution=tuple(draw(st.permutations(range(h)))),
-        attach=tuple(draw(st.lists(st.integers(0, n - 1), min_size=h, max_size=h))),
-        vertex_action=tuple(draw(st.permutations(range(n)))),
-        half_edge_action=tuple(draw(st.permutations(range(h)))),
-    )
 
 
 @settings(max_examples=300, deadline=None)
