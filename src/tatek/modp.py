@@ -37,7 +37,7 @@ class PrimeTooLarge(ValueError):
 @lru_cache(maxsize=1024)
 def is_prime(p: int) -> bool:
     """Trial-division primality check; inputs here are small and repeat, so
-    each is tested once (``Mat2P`` checks its modulus on every product)."""
+    each is tested once (``Mat2P`` checks its modulus on every matrix)."""
     if p < 2:
         return False
     d = 2
@@ -74,36 +74,12 @@ class Mat2P(Value):
                 f"matrix {((self.a, self.b), (self.c, self.d))} is singular mod {self.p}"
             )
 
-    @classmethod
-    def identity(cls, p: int) -> "Mat2P":
-        return cls(1, 0, 0, 1, p)
-
     @property
     def det_value(self) -> int:
         return (self.a * self.d - self.b * self.c) % self.p
 
-    def __mul__(self, other: "Mat2P") -> "Mat2P":
-        return mat_mul(self, other)
-
     def key(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-
-def mat_mul(x: Mat2P, y: Mat2P) -> Mat2P:
-    """Matrix product over the common modulus.
-
-    The determinant is multiplicative, so products of invertible matrices stay
-    invertible and the constructor check never fires here.
-    """
-    if x.p != y.p:
-        raise ModulusMismatch(f"moduli differ: {x.p} vs {y.p}")
-    return Mat2P(
-        x.a * y.a + x.b * y.c,
-        x.a * y.b + x.b * y.d,
-        x.c * y.a + x.d * y.c,
-        x.c * y.b + x.d * y.d,
-        x.p,
-    )
 
 
 class MatrixGroup(Value):
@@ -128,8 +104,10 @@ class MatrixGroup(Value):
 def group_closure(generators: Iterable[Mat2P], bound: int = 4096) -> MatrixGroup:
     """Smallest multiplicatively closed set containing the generators and 1.
 
-    Plain breadth-first closure; ``bound`` caps the element count so a typo in
-    a generator cannot send the enumeration off to all of GL_2.
+    Plain breadth-first closure on entry quadruples (a, b, c, d) reduced mod
+    p; each element becomes a checked ``Mat2P`` once, at the end.  ``bound``
+    caps the element count so a typo in a generator cannot send the
+    enumeration off to all of GL_2.
     """
     gens = tuple(generators)
     if not gens:
@@ -138,24 +116,22 @@ def group_closure(generators: Iterable[Mat2P], bound: int = 4096) -> MatrixGroup
     for g in gens:
         if g.p != p:
             raise ModulusMismatch(f"moduli differ: {p} vs {g.p}")
-    identity = Mat2P.identity(p)
-    seen: dict[tuple[int, int, int, int], Mat2P] = {identity.key(): identity}
-    frontier = [identity]
+    keys = [g.key() for g in gens]
+    seen = {(1, 0, 0, 1)}
+    frontier = [(1, 0, 0, 1)]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod.key() not in seen:
+        for a, b, c, d in frontier:
+            for w, x, y, z in keys:
+                prod = ((a * w + b * y) % p, (a * x + b * z) % p,
+                        (c * w + d * y) % p, (c * x + d * z) % p)
+                if prod not in seen:
                     if len(seen) >= bound:
-                        raise ClosureExceedsBound(
-                            f"closure exceeded bound {bound} (modulus {p})"
-                        )
-                    seen[prod.key()] = prod
+                        raise ClosureExceedsBound(f"closure exceeded bound {bound} (modulus {p})")
+                    seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    elements = tuple(sorted(seen.values(), key=Mat2P.key))
-    return MatrixGroup(elements)
+    return MatrixGroup(tuple(Mat2P(*key, p) for key in sorted(seen)))
 
 
 class StabiliserKind(Enum):

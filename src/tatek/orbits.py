@@ -54,11 +54,12 @@ def check_orbit_prime(p: int) -> int:
 
 
 def kernel_dimension_of_m_minus_identity(m: Mat2P) -> int:
-    """dim ker(M - 1) over Z/p, computed from the 2x2 entries directly."""
+    """dim ker(M - 1) over Z/p, computed from the 2x2 entries directly;
+    ``Mat2P`` holds them reduced mod p."""
     p = m.p
     a = (m.a - 1) % p
-    b = m.b % p
-    c = m.c % p
+    b = m.b
+    c = m.c
     d = (m.d - 1) % p
     if a == 0 and b == 0 and c == 0 and d == 0:
         return 2
@@ -240,7 +241,10 @@ class OrbitReport(Value):
     orbit_count: int
     brute_force_count: int
     closed_form: int
-    match: bool
+
+    @property
+    def match(self) -> bool:
+        return self.orbit_count == self.brute_force_count == self.closed_form
 
 
 def orbit_report(kind: StabiliserKind, p: int) -> OrbitReport:
@@ -252,17 +256,13 @@ def orbit_report(kind: StabiliserKind, p: int) -> OrbitReport:
     check_orbit_prime(p)
     group = stabiliser_group(kind, p)
     per_element = tuple((m, fixed_points(m)) for m in group.elements)
-    burnside = burnside_orbit_count(group)
-    brute = _minimum_mask(group).count(0)
-    closed = closed_form_orbits(kind, p)
     return OrbitReport(
         kind=kind,
         p=p,
         per_element_counts=per_element,
-        orbit_count=burnside,
-        brute_force_count=brute,
-        closed_form=closed,
-        match=(burnside == brute == closed),
+        orbit_count=burnside_orbit_count(group),
+        brute_force_count=_minimum_mask(group).count(0),
+        closed_form=closed_form_orbits(kind, p),
     )
 
 

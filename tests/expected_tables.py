@@ -6,7 +6,7 @@ of nonzero fixed vectors at p = 2, at p = 3, and a callable for the generic
 count at p >= 5.
 """
 
-from oracles import mat_power
+from oracles import mat_mul, mat_power
 from tatek.modp import (
     Mat2P,
     StabiliserKind,
@@ -75,7 +75,7 @@ def row_matrices(kind: StabiliserKind, p: int) -> list[Mat2P]:
     swap = coordinate_swap(p)
     order = ROTATION_ORDER[kind]
     rotations = [mat_power(rot, k) for k in range(order)]
-    return rotations + [r * swap for r in rotations]
+    return rotations + [mat_mul(r, swap) for r in rotations]
 
 
 def expected_count(row: tuple, p: int) -> int:

@@ -3,8 +3,10 @@
 Each computes, the slow and obvious way, something the package holds in
 another form: the graph file's JSON object, an edge orbit walked out step by
 step, the steps of a single-orbit graph's edge orbits and the isomorphism test
-built on them, and the column action and powers of a matrix over Z/p.  Beside
-them, ``random_valid_graph`` draws the scrambled graphs many tests start from.
+built on them, and the identity, product, column action and powers of
+matrices over Z/p, the product being the oracle of ``modp.group_closure``.
+Beside them, ``random_valid_graph`` draws the scrambled graphs many tests
+start from.
 """
 
 from tatek.graphs import (
@@ -77,6 +79,23 @@ def isomorphic_single_orbit(g1, g2) -> bool:
     return orbit_step_multiset(g1) == orbit_step_multiset(g2)
 
 
+def identity(p: int) -> Mat2P:
+    """The identity matrix mod p."""
+    return Mat2P(1, 0, 0, 1, p)
+
+
+def mat_mul(x: Mat2P, y: Mat2P) -> Mat2P:
+    """The matrix product over the common modulus, written out entry by entry."""
+    assert x.p == y.p, (x.p, y.p)
+    return Mat2P(
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+        x.p,
+    )
+
+
 def mat_apply(m: Mat2P, v: tuple[int, int]) -> tuple[int, int]:
     """Left action on a column vector (l, m)."""
     l, n = v
@@ -85,10 +104,10 @@ def mat_apply(m: Mat2P, v: tuple[int, int]) -> tuple[int, int]:
 
 def mat_power(m: Mat2P, k: int) -> Mat2P:
     """m to the power k >= 0, by repeated squaring."""
-    result = Mat2P.identity(m.p)
+    result = identity(m.p)
     while k:
         if k & 1:
-            result = result * m
-        m = m * m
+            result = mat_mul(result, m)
+        m = mat_mul(m, m)
         k >>= 1
     return result

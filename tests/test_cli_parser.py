@@ -8,11 +8,13 @@ return what argparse returns, and argparse must accept that command line.
 
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tatek import cli
@@ -129,10 +131,21 @@ def test_canonical_parse_declines_or_matches_argparse(argv):
     assert_agrees_with_argparse(argv)
 
 
-def _workload_command_lines(monkeypatch) -> list[list[str]]:
-    """Every argv of one round of each benchmark workload, and of its probe."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    import workloads
+def _workload_command_lines() -> list[list[str]]:
+    """Every argv of one round of each benchmark workload, and of its probe.
+
+    The bench modules are loaded by path.  ``bench/workloads.py`` imports the
+    benchmark's reference module by the bare name ``references``, and a
+    dataclass looks its module up in ``sys.modules`` while it is built, so
+    each is bound there under its own name for its load only: a module of
+    either name elsewhere neither shadows them nor is shadowed."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("references", "workloads"):
+            spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            patch.setitem(sys.modules, name, module)
+            spec.loader.exec_module(module)
+    workloads = module
 
     manifest = [{"file": f"g{p}.json", "p": p, "k": 2, "half_edges": 0} for p in (31, 61, 97)]
     requests = workloads.cli_mix(1) + workloads.oracle_normalize(1, manifest)
@@ -147,7 +160,7 @@ def test_canonical_parse_takes_every_bench_and_golden_command_line(monkeypatch):
     handed_over = {name for name, g in goldens.items() if g["exit"] == 2}
     handed_over |= {fixture_name(argv) for argv in FALLBACK}
     canonical = [g["argv"] for name, g in goldens.items() if name not in handed_over]
-    argvs = _workload_command_lines(monkeypatch) + canonical
+    argvs = _workload_command_lines() + canonical
     assert len(argvs) > 150
     # An import of argparse now raises ImportError.
     monkeypatch.setitem(sys.modules, "argparse", None)

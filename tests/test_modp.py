@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, settings
 
-from oracles import mat_apply, mat_power
+from oracles import identity, mat_apply, mat_mul, mat_power
 from tatek.modp import (
     MAX_PRIME,
     ClosureExceedsBound,
@@ -13,13 +14,13 @@ from tatek.modp import (
     coordinate_swap,
     group_closure,
     is_prime,
-    mat_mul,
     negate_both,
     quarter_turn,
     sixth_turn,
     stabiliser_generators,
     stabiliser_group,
 )
+from test_orbits import small_generators
 
 PRIMES_TO_97 = [p for p in range(2, 98) if is_prime(p)]
 
@@ -37,13 +38,13 @@ def test_singular_matrix_rejected():
 
 def test_mat_mul_identity():
     m = Mat2P(2, 3, 1, 4, 7)
-    assert mat_mul(Mat2P.identity(7), m) == m
-    assert mat_mul(m, Mat2P.identity(7)) == m
+    assert mat_mul(identity(7), m) == m
+    assert mat_mul(m, identity(7)) == m
 
 
 def test_swap_is_an_involution():
     swap = Mat2P(0, 1, 1, 0, 5)
-    assert mat_mul(swap, swap) == Mat2P.identity(5)
+    assert mat_mul(swap, swap) == identity(5)
 
 
 def test_order_six_example_matrix():
@@ -52,14 +53,14 @@ def test_order_six_example_matrix():
     power = m
     for _ in range(5):
         power = mat_mul(power, m)
-    assert power == Mat2P.identity(7)
+    assert power == identity(7)
     assert mat_power(m, 6) == power
-    assert (m * m * m).key() != (1, 0, 0, 1)
+    assert mat_mul(mat_mul(m, m), m).key() != (1, 0, 0, 1)
 
 
-def test_mat_mul_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
-        mat_mul(Mat2P.identity(5), Mat2P.identity(7))
+def test_closure_refuses_mixed_moduli():
+    with pytest.raises(ModulusMismatch, match="moduli differ: 5 vs 7"):
+        group_closure([coordinate_swap(5), coordinate_swap(7)])
 
 
 def test_determinant_multiplicative():
@@ -83,7 +84,7 @@ def test_apply_is_the_column_action():
 
 
 def test_closure_of_identity():
-    group = group_closure([Mat2P.identity(5)])
+    group = group_closure([identity(5)])
     assert group.order == 1
 
 
@@ -95,6 +96,50 @@ def test_closure_of_edge_generators_order_four():
 def test_closure_of_theta_example_generators_order_twelve():
     group = group_closure([coordinate_swap(7), Mat2P(0, -1, 1, 1, 7)])
     assert group.order == 12
+
+
+def reference_closure(generators, bound: int) -> tuple[Mat2P, ...] | None:
+    """The elements of the group the generators close, sorted by entries, by
+    a breadth-first search over the oracle's product; None once it holds more
+    than ``bound`` elements."""
+    one = identity(generators[0].p)
+    seen = {one.key(): one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in generators:
+                prod = mat_mul(m, g)
+                if prod.key() not in seen:
+                    seen[prod.key()] = prod
+                    nxt.append(prod)
+        if len(seen) > bound:
+            return None
+        frontier = nxt
+    return tuple(seen[key] for key in sorted(seen))
+
+
+def closure_or_none(generators, bound: int) -> tuple[Mat2P, ...] | None:
+    try:
+        return group_closure(generators, bound).elements
+    except ClosureExceedsBound:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_generators())
+@example([Mat2P(2, 3, 1, 1, 5)])
+@example([coordinate_swap(7), Mat2P(1, 0, 3, 2, 7)])
+def test_closure_matches_a_breadth_first_search_on_small_groups(generators):
+    assert closure_or_none(generators, 400) == reference_closure(generators, 400)
+
+
+def test_stabiliser_closures_match_a_breadth_first_search():
+    for p in PRIMES_TO_97:
+        for kind in StabiliserKind:
+            generators = stabiliser_generators(kind, p)
+            expected = reference_closure(generators, 4096)
+            assert closure_or_none(generators, 4096) == expected, (kind, p)
 
 
 def test_closure_bound_enforced():
@@ -112,9 +157,9 @@ def test_closure_contains_inverses_and_identity():
     for kind in StabiliserKind:
         group = stabiliser_group(kind, 11)
         keys = {m.key() for m in group.elements}
-        assert Mat2P.identity(11).key() in keys
+        assert identity(11).key() in keys
         for m in group.elements:
-            assert any((m * y).key() == (1, 0, 0, 1) for y in group.elements)
+            assert any(mat_mul(m, y).key() == (1, 0, 0, 1) for y in group.elements)
             for y in group.elements:
                 assert mat_mul(m, y).key() in keys
 
@@ -142,7 +187,7 @@ def test_stabiliser_orders_at_small_primes():
 def test_edge_group_element_list_at_p5():
     group = stabiliser_group(StabiliserKind.EDGE, 5)
     expected = {
-        Mat2P.identity(5).key(),
+        identity(5).key(),
         negate_both(5).key(),
         coordinate_swap(5).key(),
         mat_mul(coordinate_swap(5), negate_both(5)).key(),
@@ -159,8 +204,8 @@ def test_determinants_are_plus_minus_one():
 
 def test_rotation_relations():
     for p in (2, 3, 5, 7, 13):
-        assert quarter_turn(p) * quarter_turn(p) == negate_both(p)
-        assert sixth_turn(p) * sixth_turn(p) * sixth_turn(p) == negate_both(p)
+        assert mat_mul(quarter_turn(p), quarter_turn(p)) == negate_both(p)
+        assert mat_mul(mat_mul(sixth_turn(p), sixth_turn(p)), sixth_turn(p)) == negate_both(p)
 
 
 def test_check_prime_refuses_moduli_above_the_bound():

@@ -18,6 +18,7 @@ import test_classes
 import test_cli
 import test_cli_parser
 import test_graphs
+import test_modp
 import test_normalize_reference
 import test_orbits
 import test_records
@@ -447,6 +448,24 @@ def check_theta_parameters():
         test_classes.test_theta_parameters()
 
 
+def closure_check(prop):
+    """``prop`` of ``test_modp``, on whatever ``group_closure`` the modp module
+    holds now."""
+
+    def check():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(test_modp, "group_closure", modp.group_closure)
+            prop()
+
+    return check
+
+
+CLOSURE_CHECKS = [
+    closure_check(test_modp.test_closure_matches_a_breadth_first_search_on_small_groups),
+    closure_check(test_modp.test_stabiliser_closures_match_a_breadth_first_search),
+]
+
+
 def check_rose_cover_slide_budget():
     for p in (5, 7, 11):
         test_graphs.assert_rose_covers_within_budget(p)
@@ -471,7 +490,29 @@ def check_rose_cover_slide_budget():
 # its result by the rose-cycle shape alone, and its results always have it:
 # a shape rule that takes a cycle of any step, or any number of non-loop
 # orbits, shows only where ``is_canonical_form`` reads graphs off that shape.
+# A closure whose product writes the two off-diagonal entries in each other's
+# place, or leaves the last entry unreduced, fails the breadth-first search
+# over the tests' own product.
 PIPELINE_MUTANTS = {
+    "closure_product_transposed": (
+        modp,
+        "group_closure",
+        lambda: mutated_method(
+            modp,
+            "group_closure",
+            ("(a * x + b * z) % p,\n", "(c * w + d * y) % p,\n"),
+            ("(c * w + d * y) % p, (c * x", "(a * x + b * z) % p, (c * x"),
+        ),
+        ["tatek.modp"],
+        CLOSURE_CHECKS,
+    ),
+    "closure_product_unreduced": (
+        modp,
+        "group_closure",
+        lambda: mutated_method(modp, "group_closure", ("(c * x + d * z) % p)", "(c * x + d * z))")),
+        ["tatek.modp"],
+        CLOSURE_CHECKS,
+    ),
     "shape_accepting_a_step_2_cycle": (
         graphs,
         "_has_rose_cycle_shape",

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from expected_tables import ROWS, expected_count, row_matrices
-from oracles import mat_apply, mat_power
+from oracles import identity, mat_apply, mat_power
 from tatek.modp import (
     ClosureExceedsBound,
     Mat2P,
@@ -34,11 +34,11 @@ PRIMES_TO_97 = tuple(p for p in range(2, 98) if is_prime(p))
 
 
 def trivial_group(p: int) -> MatrixGroup:
-    return group_closure([Mat2P.identity(p)])
+    return group_closure([identity(p)])
 
 
 def test_fixed_points_identity():
-    assert fixed_points(Mat2P.identity(5)) == 24
+    assert fixed_points(identity(5)) == 24
 
 
 def test_fixed_points_swap():
@@ -273,18 +273,23 @@ def small_order_matrices(draw, p: int, shape: str) -> Mat2P:
 
 
 @st.composite
-def small_groups(draw) -> MatrixGroup:
-    """Groups closed from one or two small-order generators at a prime <= 97,
-    each of a shape drawn for it or one shape for both, so that two stabiliser
-    elements often close a small group with shared first rows."""
+def small_generators(draw) -> list[Mat2P]:
+    """One or two small-order generators at a prime <= 97, each of a shape
+    drawn for it or one shape for both, so that two stabiliser elements often
+    close a small group with shared first rows."""
     p = draw(st.sampled_from(PRIMES_TO_97))
     shapes = st.sampled_from(["lower", "any", "stabiliser"])
     if draw(st.booleans()):
         shapes = st.just(draw(shapes))
     matrices = shapes.flatmap(lambda shape: small_order_matrices(p, shape))
-    generators = draw(st.lists(matrices, min_size=1, max_size=2))
+    return draw(st.lists(matrices, min_size=1, max_size=2))
+
+
+@st.composite
+def small_groups(draw) -> MatrixGroup:
+    """The groups of at most 400 elements that ``small_generators`` close."""
     try:
-        return group_closure(generators, bound=400)
+        return group_closure(draw(small_generators()), bound=400)
     except ClosureExceedsBound:
         assume(False)
 
