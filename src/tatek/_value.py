@@ -116,7 +116,7 @@ class Value:
             args = kwargs.values()
         # Set each field rather than fill ``__dict__``: reading ``__dict__``
         # makes CPython give the instance a real dict, and every later field
-        # read slows down (threefold for the nine reads of a 2x2 product).
+        # read slows down (more than twofold for nine reads in a row).
         for name, value in zip(names, args):
             _setattr(self, name, value)
         if post_init is not None:

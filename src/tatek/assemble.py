@@ -117,8 +117,8 @@ def tate_k(p: int, n: int) -> TateKResult:
         except UnknownCohomology as exc:
             even = odd = Unknown(exc.name)
         contributions.append(Contribution(label=c.label, even=even, odd=odd))
-        merge_citations(citations, c.citation, *citations_of(expr))
-    return _finish(p, f"Out(F_{n})", tuple(contributions), tuple(citations))
+        citations += (c.citation, *citations_of(expr))
+    return _finish(p, f"Out(F_{n})", tuple(contributions), merge_citations(citations))
 
 
 class RationalKResult(Value):
@@ -139,8 +139,6 @@ class RationalKResult(Value):
 def rational_k(p: int, n: int) -> RationalKResult:
     tate = tate_k(p, n)
     entry = registry_lookup(f"OutF{n}")
-    citations = list(tate.citations)
-    merge_citations(citations, entry.citation)
     if entry.known:
         out_even, out_odd = even_odd_totals(entry.series)
     else:
@@ -158,7 +156,7 @@ def rational_k(p: int, n: int) -> RationalKResult:
         tate=tate,
         outfn_even=out_even,
         outfn_odd=out_odd,
-        citations=tuple(citations),
+        citations=merge_citations((*tate.citations, entry.citation)),
     )
 
 
@@ -355,7 +353,7 @@ def _cell(compute, p: int, n: int, citations: list[str]) -> TableCell:
             n=n, p=p, status="unknown", even=None, odd=None, blocker=None,
             reason=OUT_OF_RANGE_REASON,
         )
-    merge_citations(citations, *result.citations)
+    citations += result.citations
     if not result.known:
         blocker = result.dim_even.blocker
         return TableCell(
@@ -392,5 +390,5 @@ def emit_table(which: int) -> TableDocument:
         ranks=ranks,
         primes=primes,
         cells=cells,
-        citations=tuple(citations),
+        citations=merge_citations(citations),
     )

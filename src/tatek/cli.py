@@ -160,8 +160,8 @@ def _orbit_items(args, p: int) -> Iterator[Item]:
         )
         yield record, text
         if args.list:
-            for m, count in report.per_element_counts:
-                element = f"[[{m.a},{m.b}],[{m.c},{m.d}]]"
+            for (a, b, c, d), count in report.per_element_counts:
+                element = f"[[{a},{b}],[{c},{d}]]"
                 record = dict(
                     record="fixed_points", kind=kind.value, p=p, element=element, count=count
                 )

@@ -1,9 +1,11 @@
-"""Exact arithmetic over Z/p: invertible 2x2 matrices and small matrix groups.
+"""Exact arithmetic over Z/p: primality and the three stabiliser groups.
 
-Everything here is an immutable value computed with plain Python integers, so
-results are exact and safe to share between threads.  The three dihedral
-stabiliser groups at the bottom are the fixed ingredients of the orbit counts
-in :mod:`tatek.orbits`.
+A 2x2 matrix over Z/p is its row-major entry quadruple (a, b, c, d) reduced
+mod p, a plain tuple of Python integers, so results are exact and safe to
+share between threads.  The stabilisers of the spine action of Out(F_2) =
+GL_2(Z) are stated once, by integer generators in ``STABILISER_GENERATORS``;
+:func:`stabiliser_group` reduces and closes them, and :mod:`tatek.orbits`
+counts their orbits.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from ._value import Value
-
-
-class ModulusMismatch(ValueError):
-    """Raised when combining values that live over different primes."""
 
 
 class ClosureExceedsBound(RuntimeError):
@@ -37,7 +35,8 @@ class PrimeTooLarge(ValueError):
 @lru_cache(maxsize=1024)
 def is_prime(p: int) -> bool:
     """Trial-division primality check; inputs here are small and repeat, so
-    each is tested once (``Mat2P`` checks its modulus on every matrix)."""
+    each is tested once (each layer a request passes through checks its
+    modulus again, and so does every graph built at it)."""
     if p < 2:
         return False
     d = 2
@@ -56,67 +55,34 @@ def check_prime(p: int) -> int:
     return p
 
 
-class Mat2P(Value):
-    """An invertible 2x2 matrix over Z/p, stored row-major as (a, b, c, d)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.p)
-        if self.det_value == 0:
-            raise ValueError(
-                f"matrix {((self.a, self.b), (self.c, self.d))} is singular mod {self.p}"
-            )
-
-    @property
-    def det_value(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.p
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-
 class MatrixGroup(Value):
-    """A finite matrix group, given by its full element list.
+    """A finite subgroup of GL_2(Z/p), given by its full element list.
 
-    ``elements`` always contains the identity, is deduplicated, closed under
-    products (hence under inverses, being finite), and is sorted by entry
-    tuples so that iteration order is deterministic.
+    ``elements`` holds the entry quadruples (a, b, c, d) of its matrices,
+    reduced mod p.  It always contains the identity (1, 0, 0, 1), is
+    deduplicated, closed under products (hence under inverses, being finite),
+    and is sorted so that iteration order is deterministic.
     """
 
-    elements: tuple[Mat2P, ...]
+    p: int
+    elements: tuple[tuple[int, int, int, int], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def p(self) -> int:
-        return self.elements[0].p
 
-
-def group_closure(generators: Iterable[Mat2P], bound: int = 4096) -> MatrixGroup:
+def group_closure(
+    p: int, generators: Iterable[tuple[int, int, int, int]], bound: int = 4096
+) -> MatrixGroup:
     """Smallest multiplicatively closed set containing the generators and 1.
 
-    Plain breadth-first closure on entry quadruples (a, b, c, d) reduced mod
-    p; each element becomes a checked ``Mat2P`` once, at the end.  ``bound``
-    caps the element count so a typo in a generator cannot send the
-    enumeration off to all of GL_2.
+    The generators are integer entry quadruples (a, b, c, d), reduced mod p
+    here; invertible ones close to a group.  Plain breadth-first closure on
+    reduced quadruples.  ``bound`` caps the element count so a typo in a
+    generator cannot send the enumeration off to all of GL_2.
     """
-    gens = tuple(generators)
-    if not gens:
-        raise ValueError("need at least one generator to fix the modulus")
-    p = gens[0].p
-    for g in gens:
-        if g.p != p:
-            raise ModulusMismatch(f"moduli differ: {p} vs {g.p}")
-    keys = [g.key() for g in gens]
+    keys = [tuple(x % p for x in g) for g in generators]
     seen = {(1, 0, 0, 1)}
     frontier = [(1, 0, 0, 1)]
     while frontier:
@@ -131,7 +97,7 @@ def group_closure(generators: Iterable[Mat2P], bound: int = 4096) -> MatrixGroup
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return MatrixGroup(tuple(Mat2P(*key, p) for key in sorted(seen)))
+    return MatrixGroup(p, tuple(sorted(seen)))
 
 
 class StabiliserKind(Enum):
@@ -152,38 +118,18 @@ GENERIC_STABILISER_ORDER = {
 }
 
 
-def coordinate_swap(p: int) -> Mat2P:
-    """(l, m) -> (m, l): the basis-exchange involution."""
-    return Mat2P(0, 1, 1, 0, p)
-
-
-def negate_both(p: int) -> Mat2P:
-    """(l, m) -> (-l, -m): inversion of both generators."""
-    return Mat2P(-1, 0, 0, -1, p)
-
-
-def quarter_turn(p: int) -> Mat2P:
-    """(l, m) -> (m, -l): the order-4 rose rotation; its square is -1."""
-    return Mat2P(0, 1, -1, 0, p)
-
-
-def sixth_turn(p: int) -> Mat2P:
-    """(l, m) -> (m, m - l): the order-6 theta rotation; its cube is -1."""
-    return Mat2P(0, 1, -1, 1, p)
-
-
-def stabiliser_generators(kind: StabiliserKind, p: int) -> tuple[Mat2P, Mat2P]:
-    swap = coordinate_swap(p)
-    if kind is StabiliserKind.EDGE:
-        return (swap, negate_both(p))
-    if kind is StabiliserKind.ROSE_VERTEX:
-        return (swap, quarter_turn(p))
-    if kind is StabiliserKind.THETA_VERTEX:
-        return (swap, sixth_turn(p))
-    raise ValueError(f"unknown stabiliser kind: {kind!r}")
+# The generators over Z of each stabiliser, as (swap, rotation) entry
+# quadruples: the swap (l, m) -> (m, l) and a rotation whose square (edge),
+# fourth power (rose) or sixth power (theta) is 1.  They generate the
+# dihedral groups D2, D4 and D6 of GL_2(Z), every entry in {0, +-1}.
+STABILISER_GENERATORS = {
+    StabiliserKind.EDGE: ((0, 1, 1, 0), (-1, 0, 0, -1)),  # (l, m) -> (-l, -m)
+    StabiliserKind.ROSE_VERTEX: ((0, 1, 1, 0), (0, 1, -1, 0)),  # (l, m) -> (m, -l)
+    StabiliserKind.THETA_VERTEX: ((0, 1, 1, 0), (0, 1, -1, 1)),  # (l, m) -> (m, m - l)
+}
 
 
 @lru_cache(maxsize=None)
 def stabiliser_group(kind: StabiliserKind, p: int) -> MatrixGroup:
-    """The edge, rose-vertex or theta-vertex stabiliser as a matrix group."""
-    return group_closure(stabiliser_generators(kind, p), bound=64)
+    """The edge, rose-vertex or theta-vertex stabiliser as a group mod p."""
+    return group_closure(check_prime(p), STABILISER_GENERATORS[kind], bound=64)

@@ -20,13 +20,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from ._value import Value
-from .modp import (
-    Mat2P,
-    MatrixGroup,
-    StabiliserKind,
-    check_prime,
-    stabiliser_group,
-)
+from .modp import MatrixGroup, StabiliserKind, check_prime, stabiliser_group
 
 
 # The explicit partition allocates a p^2-byte mask, 4 MB at the bound, and
@@ -53,31 +47,24 @@ def check_orbit_prime(p: int) -> int:
     return check_prime(p)
 
 
-def kernel_dimension_of_m_minus_identity(m: Mat2P) -> int:
-    """dim ker(M - 1) over Z/p, computed from the 2x2 entries directly;
-    ``Mat2P`` holds them reduced mod p."""
-    p = m.p
-    a = (m.a - 1) % p
-    b = m.b
-    c = m.c
-    d = (m.d - 1) % p
-    if a == 0 and b == 0 and c == 0 and d == 0:
-        return 2
-    if (a * d - b * c) % p == 0:
-        return 1
-    return 0
-
-
-def fixed_points(m: Mat2P) -> int:
-    """The number of nonzero solutions of Mv = v: p^k - 1 where
-    k = dim ker(M - 1).  The tests check it against an enumeration of the
-    p^2 - 1 vectors."""
-    return m.p ** kernel_dimension_of_m_minus_identity(m) - 1
+def fixed_points(p: int, m: tuple[int, int, int, int]) -> int:
+    """The number of nonzero solutions of Mv = v over Z/p, for M = (a b; c d)
+    given by its entries reduced mod p: p^k - 1, where k = dim ker(M - 1) is
+    2 for M = 1, 1 when M - 1 is singular and 0 otherwise.  The tests check
+    it against an enumeration of the p^2 - 1 vectors."""
+    a, b, c, d = m
+    if m == (1, 0, 0, 1):
+        k = 2
+    elif ((a - 1) * (d - 1) - b * c) % p == 0:
+        k = 1
+    else:
+        k = 0
+    return p**k - 1
 
 
 def burnside_orbit_count(g: MatrixGroup) -> int:
     """Number of orbits on nonzero vectors: the average fixed-point count."""
-    total = sum(fixed_points(m) for m in g.elements)
+    total = sum(fixed_points(g.p, m) for m in g.elements)
     orbits, remainder = divmod(total, g.order)
     if remainder != 0:
         raise NonIntegralOrbitCount(
@@ -118,15 +105,14 @@ def _minimum_mask(g: MatrixGroup) -> bytes:
     """
     p = check_orbit_prime(g.p)
     minus_one = p - 1
-    keys = [e.key() for e in g.elements]
     rows = p
-    if p > 2 and (minus_one, 0, 0, minus_one) in keys:
+    if p > 2 and (minus_one, 0, 0, minus_one) in g.elements:
         rows = (p + 1) // 2
     mask = bytearray(rows * p)
     mask += b"\x01" * ((p - rows) * p)
     ones = memoryview(b"\x01" * p)
     windows: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, b, c, d in keys:
+    for a, b, c, d in g.elements:
         if b == 1 or b == minus_one:
             windows.setdefault((a, b), []).append((c, d))
             continue
@@ -200,10 +186,9 @@ def iter_orbits(g: MatrixGroup) -> Iterator[list[tuple[int, int]]]:
     """
     mask = _minimum_mask(g)
     p = g.p
-    entries = [m.key() for m in g.elements]
     for v in _zeros(mask):
         l, m = divmod(v, p)
-        flat = {(a * l + b * m) % p * p + (c * l + d * m) % p for a, b, c, d in entries}
+        flat = {(a * l + b * m) % p * p + (c * l + d * m) % p for a, b, c, d in g.elements}
         yield [divmod(w, p) for w in sorted(flat)]
 
 
@@ -237,7 +222,7 @@ class OrbitReport(Value):
 
     kind: StabiliserKind
     p: int
-    per_element_counts: tuple[tuple[Mat2P, int], ...]
+    per_element_counts: tuple[tuple[tuple[int, int, int, int], int], ...]
     orbit_count: int
     brute_force_count: int
     closed_form: int
@@ -255,7 +240,7 @@ def orbit_report(kind: StabiliserKind, p: int) -> OrbitReport:
     """
     check_orbit_prime(p)
     group = stabiliser_group(kind, p)
-    per_element = tuple((m, fixed_points(m)) for m in group.elements)
+    per_element = tuple((m, fixed_points(p, m)) for m in group.elements)
     return OrbitReport(
         kind=kind,
         p=p,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ._value import Value, _cut, _shown
 
@@ -383,15 +383,11 @@ def series_of(expr: GroupExpr) -> PoincareSeries:
     return expr.series()
 
 
-def merge_citations(out: list[str], *citations: str) -> None:
-    """Append each non-empty citation that ``out`` lacks, in the order given."""
-    for citation in citations:
-        if citation and citation not in out:
-            out.append(citation)
+def merge_citations(citations: Iterable[str]) -> tuple[str, ...]:
+    """The non-empty citations, each once, in the order first given."""
+    return tuple(dict.fromkeys(citation for citation in citations if citation))
 
 
-def citations_of(expr: GroupExpr) -> list[str]:
+def citations_of(expr: GroupExpr) -> tuple[str, ...]:
     """Citations of every registry entry referenced by an expression."""
-    out: list[str] = []
-    merge_citations(out, *(registry_lookup(name).citation for name in expr.registry_names()))
-    return out
+    return merge_citations(registry_lookup(name).citation for name in expr.registry_names())

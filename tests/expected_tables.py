@@ -6,15 +6,8 @@ of nonzero fixed vectors at p = 2, at p = 3, and a callable for the generic
 count at p >= 5.
 """
 
-from oracles import mat_mul, mat_power
-from tatek.modp import (
-    Mat2P,
-    StabiliserKind,
-    coordinate_swap,
-    negate_both,
-    quarter_turn,
-    sixth_turn,
-)
+from oracles import NEGATE, QUARTER_TURN, SIXTH_TURN, SWAP, mat_mul, mat_power
+from tatek.modp import StabiliserKind
 
 _ALL = lambda p: p * p - 1
 _NONE = lambda p: 0
@@ -58,9 +51,9 @@ ROWS = {
     StabiliserKind.THETA_VERTEX: THETA_ROWS,
 }
 _ROTATIONS = {
-    StabiliserKind.EDGE: negate_both,
-    StabiliserKind.ROSE_VERTEX: quarter_turn,
-    StabiliserKind.THETA_VERTEX: sixth_turn,
+    StabiliserKind.EDGE: NEGATE,
+    StabiliserKind.ROSE_VERTEX: QUARTER_TURN,
+    StabiliserKind.THETA_VERTEX: SIXTH_TURN,
 }
 ROTATION_ORDER = {
     StabiliserKind.EDGE: 2,
@@ -69,13 +62,11 @@ ROTATION_ORDER = {
 }
 
 
-def row_matrices(kind: StabiliserKind, p: int) -> list[Mat2P]:
-    """The table's row words evaluated in GL_2(Z/p), in row order."""
-    rot = _ROTATIONS[kind](p)
-    swap = coordinate_swap(p)
-    order = ROTATION_ORDER[kind]
-    rotations = [mat_power(rot, k) for k in range(order)]
-    return rotations + [mat_mul(r, swap) for r in rotations]
+def row_matrices(kind: StabiliserKind, p: int) -> list[tuple]:
+    """The table's row words evaluated in GL_2(Z/p), in row order, as
+    reduced entry quadruples."""
+    rotations = [mat_power(p, _ROTATIONS[kind], k) for k in range(ROTATION_ORDER[kind])]
+    return rotations + [mat_mul(p, r, SWAP) for r in rotations]
 
 
 def expected_count(row: tuple, p: int) -> int:

@@ -5,6 +5,9 @@ another form: the graph file's JSON object, an edge orbit walked out step by
 step, the steps of a single-orbit graph's edge orbits and the isomorphism test
 built on them, and the identity, product, column action and powers of
 matrices over Z/p, the product being the oracle of ``modp.group_closure``.
+A matrix is its row-major entry quadruple (a, b, c, d); the product and the
+powers reduce it mod p and refuse a singular one, and the four named
+stabiliser generators are written out here, apart from the package's table.
 Beside them, ``random_valid_graph`` draws the scrambled graphs many tests
 start from.
 """
@@ -16,7 +19,6 @@ from tatek.graphs import (
     oriented_step,
     scramble_graph,
 )
-from tatek.modp import Mat2P
 
 
 def to_json_obj(g) -> dict:
@@ -79,35 +81,40 @@ def isomorphic_single_orbit(g1, g2) -> bool:
     return orbit_step_multiset(g1) == orbit_step_multiset(g2)
 
 
-def identity(p: int) -> Mat2P:
-    """The identity matrix mod p."""
-    return Mat2P(1, 0, 0, 1, p)
+IDENTITY = (1, 0, 0, 1)
+SWAP = (0, 1, 1, 0)  # (l, m) -> (m, l)
+NEGATE = (-1, 0, 0, -1)  # (l, m) -> (-l, -m)
+QUARTER_TURN = (0, 1, -1, 0)  # (l, m) -> (m, -l)
+SIXTH_TURN = (0, 1, -1, 1)  # (l, m) -> (m, m - l)
 
 
-def mat_mul(x: Mat2P, y: Mat2P) -> Mat2P:
-    """The matrix product over the common modulus, written out entry by entry."""
-    assert x.p == y.p, (x.p, y.p)
-    return Mat2P(
-        x.a * y.a + x.b * y.c,
-        x.a * y.b + x.b * y.d,
-        x.c * y.a + x.d * y.c,
-        x.c * y.b + x.d * y.d,
-        x.p,
-    )
+def reduced(p: int, m: tuple) -> tuple:
+    """The entries of m reduced mod p, refused if m is singular mod p."""
+    a, b, c, d = (x % p for x in m)
+    assert (a * d - b * c) % p, f"{m} is singular mod {p}"
+    return (a, b, c, d)
 
 
-def mat_apply(m: Mat2P, v: tuple[int, int]) -> tuple[int, int]:
-    """Left action on a column vector (l, m)."""
+def mat_mul(p: int, x: tuple, y: tuple) -> tuple:
+    """The matrix product mod p, written out entry by entry."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return reduced(p, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+
+
+def mat_apply(p: int, m: tuple, v: tuple[int, int]) -> tuple[int, int]:
+    """Left action on a column vector (l, n)."""
+    a, b, c, d = m
     l, n = v
-    return ((m.a * l + m.b * n) % m.p, (m.c * l + m.d * n) % m.p)
+    return ((a * l + b * n) % p, (c * l + d * n) % p)
 
 
-def mat_power(m: Mat2P, k: int) -> Mat2P:
-    """m to the power k >= 0, by repeated squaring."""
-    result = identity(m.p)
+def mat_power(p: int, m: tuple, k: int) -> tuple:
+    """m to the power k >= 0 mod p, by repeated squaring."""
+    result = IDENTITY
     while k:
         if k & 1:
-            result = mat_mul(result, m)
-        m = mat_mul(m, m)
+            result = mat_mul(p, result, m)
+        m = mat_mul(p, m, m)
         k >>= 1
     return result

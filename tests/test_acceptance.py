@@ -61,7 +61,7 @@ def test_criterion_01_fixed_point_tables():
     for kind in StabiliserKind:
         for p in (2, 3, 5, 7, 11, 13):
             for matrix, row in zip(row_matrices(kind, p), ROWS[kind]):
-                assert fixed_points(matrix) == expected_count(row, p), (
+                assert fixed_points(p, matrix) == expected_count(row, p), (
                     kind,
                     p,
                     matrix,

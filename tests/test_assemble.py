@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tatek.assemble import (
@@ -41,6 +43,21 @@ def test_tate_unknown_cell():
 def test_tate_out_of_range_is_an_error_not_unknown():
     with pytest.raises(OutOfRange):
         tate_k(5, 9)
+
+
+def seconds(p: int, n: int) -> float:
+    start = time.perf_counter()
+    tate_k(p, n)
+    return time.perf_counter() - start
+
+
+def test_tate_k_grows_linearly_in_its_classes():
+    # From (5003, 10003) to (20011, 40019) the class count grows fourfold
+    # (2,502 to 10,006) and so do the distinct citations.  Both sizes run in
+    # one process, so host drift cancels; a quadratic merge of citations
+    # took about 11 times as long, a linear one takes about 4.3 times.
+    small = min(seconds(5003, 10003) for _ in range(3))
+    assert seconds(20011, 40019) / small < 7
 
 
 def test_tate_result_invariants():

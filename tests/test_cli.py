@@ -1061,9 +1061,6 @@ EXIT_CODE_OF_ERROR = {
     "graphs.NotComposable": 3,
     "graphs.SameOrbit": 3,
     "modp.ClosureExceedsBound": 5,
-    # Only a bug can combine matrices over two primes, but as a ValueError it
-    # exits 3 while the bare ValueError is a domain error.
-    "modp.ModulusMismatch": 3,
     "modp.PrimeTooLarge": 3,
     "orbits.NonIntegralOrbitCount": 5,
     "orbits.OrbitPrimeTooLarge": 3,

@@ -205,6 +205,23 @@ def test_class_lists_match_their_digest():
     assert digest.hexdigest() == CLASS_LISTS_SHA256
 
 
+# SHA-256 over the stdout of ``orbits --p P`` and ``orbits --p P --list``,
+# each in text then records, for every prime P < 60 in turn: every
+# per-element fixed-point row and orbit listing pinned at once.
+ORBIT_LISTINGS_SHA256 = "526ddc7d17b129a981d993982bc47179d4695386cf6b3d5ef1f0277d1bab2e59"
+
+
+def test_orbit_listings_match_their_digest():
+    digest = hashlib.sha256()
+    for p in filter(is_prime, range(60)):
+        for listing in ([], ["--list"]):
+            for fmt in ("text", "records"):
+                result = run_main(["orbits", "--p", str(p), *listing, "--format", fmt])
+                assert (result["exit"], result["stderr"]) == (0, ""), (p, listing, fmt)
+                digest.update(result["stdout"].encode())
+    assert digest.hexdigest() == ORBIT_LISTINGS_SHA256
+
+
 # Exits 0, 2, 3 and 4, argparse's stdout and stderr, and both formats.
 THROUGH_A_PROCESS = [
     "help",

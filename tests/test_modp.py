@@ -1,66 +1,74 @@
 import pytest
 from hypothesis import example, given, settings
 
-from oracles import identity, mat_apply, mat_mul, mat_power
+from oracles import (
+    IDENTITY,
+    NEGATE,
+    QUARTER_TURN,
+    SIXTH_TURN,
+    SWAP,
+    mat_apply,
+    mat_mul,
+    mat_power,
+    reduced,
+)
 from tatek.modp import (
     MAX_PRIME,
     ClosureExceedsBound,
     GENERIC_STABILISER_ORDER,
-    Mat2P,
-    ModulusMismatch,
+    STABILISER_GENERATORS,
     PrimeTooLarge,
     StabiliserKind,
     check_prime,
-    coordinate_swap,
     group_closure,
     is_prime,
-    negate_both,
-    quarter_turn,
-    sixth_turn,
-    stabiliser_generators,
     stabiliser_group,
 )
+from tatek.orbits import orbit_report
 from test_orbits import small_generators
 
 PRIMES_TO_97 = [p for p in range(2, 98) if is_prime(p)]
 
 
 def test_modp_normalises_and_checks_prime():
-    assert Mat2P(7, 0, 0, -1, 5).key() == (2, 0, 0, 4)
-    with pytest.raises(ValueError):
-        Mat2P(1, 0, 0, 1, 9)
+    # The closure reduces its integer generators; the stabilisers check p.
+    assert group_closure(5, [(7, 0, 0, -1)]) == group_closure(5, [(2, 0, 0, 4)])
+    for kind in StabiliserKind:
+        with pytest.raises(ValueError, match="modulus must be prime, got 9"):
+            stabiliser_group(kind, 9)
 
 
 def test_singular_matrix_rejected():
-    with pytest.raises(ValueError):
-        Mat2P(1, 2, 2, 4, 5)
+    # The tests' product refuses what the package's closure leaves to its
+    # invertible generators.
+    with pytest.raises(AssertionError, match="singular mod 5"):
+        mat_mul(5, (1, 2, 2, 4), IDENTITY)
 
 
 def test_mat_mul_identity():
-    m = Mat2P(2, 3, 1, 4, 7)
-    assert mat_mul(identity(7), m) == m
-    assert mat_mul(m, identity(7)) == m
+    m = (2, 3, 1, 4)
+    assert mat_mul(7, IDENTITY, m) == m
+    assert mat_mul(7, m, IDENTITY) == m
 
 
 def test_swap_is_an_involution():
-    swap = Mat2P(0, 1, 1, 0, 5)
-    assert mat_mul(swap, swap) == identity(5)
+    assert mat_mul(5, SWAP, SWAP) == IDENTITY
 
 
 def test_order_six_example_matrix():
     # [[0,-1],[1,1]] has characteristic polynomial x^2 - x + 1: order 6.
-    m = Mat2P(0, -1, 1, 1, 7)
+    m = (0, 6, 1, 1)
     power = m
     for _ in range(5):
-        power = mat_mul(power, m)
-    assert power == identity(7)
-    assert mat_power(m, 6) == power
-    assert mat_mul(mat_mul(m, m), m).key() != (1, 0, 0, 1)
+        power = mat_mul(7, power, m)
+    assert power == IDENTITY
+    assert mat_power(7, m, 6) == power
+    assert mat_mul(7, mat_mul(7, m, m), m) != IDENTITY
 
 
-def test_closure_refuses_mixed_moduli():
-    with pytest.raises(ModulusMismatch, match="moduli differ: 5 vs 7"):
-        group_closure([coordinate_swap(5), coordinate_swap(7)])
+def det(p: int, m: tuple) -> int:
+    a, b, c, d = m
+    return (a * d - b * c) % p
 
 
 def test_determinant_multiplicative():
@@ -70,98 +78,96 @@ def test_determinant_multiplicative():
     for p in (3, 5, 13):
         mats = []
         while len(mats) < 8:
-            entries = [rng.randrange(p) for _ in range(4)]
-            if (entries[0] * entries[3] - entries[1] * entries[2]) % p:
-                mats.append(Mat2P(*entries, p))
+            entries = tuple(rng.randrange(p) for _ in range(4))
+            if det(p, entries):
+                mats.append(entries)
         for x in mats:
             for y in mats:
-                assert mat_mul(x, y).det_value == x.det_value * y.det_value % p
+                assert det(p, mat_mul(p, x, y)) == det(p, x) * det(p, y) % p
 
 
 def test_apply_is_the_column_action():
-    m = Mat2P(0, 1, -1, 1, 5)
-    assert mat_apply(m, (2, 3)) == (3, 1)  # (m, m - l)
+    assert mat_apply(5, SIXTH_TURN, (2, 3)) == (3, 1)  # (m, m - l)
 
 
 def test_closure_of_identity():
-    group = group_closure([identity(5)])
-    assert group.order == 1
+    for generators in ([], [IDENTITY]):
+        assert group_closure(5, generators).elements == (IDENTITY,)
 
 
 def test_closure_of_edge_generators_order_four():
-    group = group_closure([coordinate_swap(5), negate_both(5)])
+    group = group_closure(5, [SWAP, NEGATE])
     assert group.order == 4
 
 
 def test_closure_of_theta_example_generators_order_twelve():
-    group = group_closure([coordinate_swap(7), Mat2P(0, -1, 1, 1, 7)])
+    group = group_closure(7, [SWAP, (0, -1, 1, 1)])
     assert group.order == 12
 
 
-def reference_closure(generators, bound: int) -> tuple[Mat2P, ...] | None:
-    """The elements of the group the generators close, sorted by entries, by
-    a breadth-first search over the oracle's product; None once it holds more
-    than ``bound`` elements."""
-    one = identity(generators[0].p)
-    seen = {one.key(): one}
-    frontier = [one]
+def reference_closure(p: int, generators, bound: int) -> tuple[tuple, ...] | None:
+    """The elements of the group the generators close mod p, sorted by
+    entries, by a breadth-first search over the oracle's product; None once it
+    holds more than ``bound`` elements."""
+    seen = {IDENTITY}
+    frontier = [IDENTITY]
     while frontier:
         nxt = []
         for m in frontier:
             for g in generators:
-                prod = mat_mul(m, g)
-                if prod.key() not in seen:
-                    seen[prod.key()] = prod
+                prod = mat_mul(p, m, g)
+                if prod not in seen:
+                    seen.add(prod)
                     nxt.append(prod)
         if len(seen) > bound:
             return None
         frontier = nxt
-    return tuple(seen[key] for key in sorted(seen))
+    return tuple(sorted(seen))
 
 
-def closure_or_none(generators, bound: int) -> tuple[Mat2P, ...] | None:
+def closure_or_none(p: int, generators, bound: int) -> tuple[tuple, ...] | None:
     try:
-        return group_closure(generators, bound).elements
+        return group_closure(p, generators, bound).elements
     except ClosureExceedsBound:
         return None
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_generators())
-@example([Mat2P(2, 3, 1, 1, 5)])
-@example([coordinate_swap(7), Mat2P(1, 0, 3, 2, 7)])
-def test_closure_matches_a_breadth_first_search_on_small_groups(generators):
-    assert closure_or_none(generators, 400) == reference_closure(generators, 400)
+@example((5, [(2, 3, 1, 1)]))
+@example((7, [SWAP, (1, 0, 3, 2)]))
+def test_closure_matches_a_breadth_first_search_on_small_groups(drawn):
+    p, generators = drawn
+    assert closure_or_none(p, generators, 400) == reference_closure(p, generators, 400)
 
 
 def test_stabiliser_closures_match_a_breadth_first_search():
     for p in PRIMES_TO_97:
         for kind in StabiliserKind:
-            generators = stabiliser_generators(kind, p)
-            expected = reference_closure(generators, 4096)
-            assert closure_or_none(generators, 4096) == expected, (kind, p)
+            generators = STABILISER_GENERATORS[kind]
+            expected = reference_closure(p, generators, 4096)
+            assert closure_or_none(p, generators, 4096) == expected, (kind, p)
 
 
 def test_closure_bound_enforced():
     with pytest.raises(ClosureExceedsBound):
-        group_closure([Mat2P(1, 1, 0, 1, 97)], bound=10)
+        group_closure(97, [(1, 1, 0, 1)], bound=10)
 
 
 def test_closure_idempotent():
-    group = group_closure([coordinate_swap(7), sixth_turn(7)])
-    again = group_closure(group.elements)
-    assert {m.key() for m in again.elements} == {m.key() for m in group.elements}
+    group = group_closure(7, [SWAP, SIXTH_TURN])
+    assert group_closure(7, group.elements) == group
 
 
 def test_closure_contains_inverses_and_identity():
     for kind in StabiliserKind:
         group = stabiliser_group(kind, 11)
-        keys = {m.key() for m in group.elements}
-        assert identity(11).key() in keys
+        elements = set(group.elements)
+        assert IDENTITY in elements
         for m in group.elements:
-            assert any(mat_mul(m, y).key() == (1, 0, 0, 1) for y in group.elements)
+            assert any(mat_mul(11, m, y) == IDENTITY for y in group.elements)
             for y in group.elements:
-                assert mat_mul(m, y).key() in keys
+                assert mat_mul(11, m, y) in elements
 
 
 @pytest.mark.parametrize("kind", list(StabiliserKind))
@@ -186,26 +192,22 @@ def test_stabiliser_orders_at_small_primes():
 
 def test_edge_group_element_list_at_p5():
     group = stabiliser_group(StabiliserKind.EDGE, 5)
-    expected = {
-        identity(5).key(),
-        negate_both(5).key(),
-        coordinate_swap(5).key(),
-        mat_mul(coordinate_swap(5), negate_both(5)).key(),
-    }
-    assert {m.key() for m in group.elements} == expected
+    expected = (IDENTITY, reduced(5, NEGATE), SWAP, mat_mul(5, SWAP, NEGATE))
+    assert group.elements == tuple(sorted(expected))
 
 
 def test_determinants_are_plus_minus_one():
     for kind in StabiliserKind:
         for p in (2, 3, 5, 7, 11, 13):
             for m in stabiliser_group(kind, p).elements:
-                assert m.det_value in (1 % p, (p - 1) % p)
+                assert det(p, m) in (1 % p, (p - 1) % p)
 
 
 def test_rotation_relations():
     for p in (2, 3, 5, 7, 13):
-        assert mat_mul(quarter_turn(p), quarter_turn(p)) == negate_both(p)
-        assert mat_mul(mat_mul(sixth_turn(p), sixth_turn(p)), sixth_turn(p)) == negate_both(p)
+        minus_one = reduced(p, NEGATE)
+        assert mat_power(p, QUARTER_TURN, 2) == minus_one
+        assert mat_power(p, SIXTH_TURN, 3) == minus_one
 
 
 def test_check_prime_refuses_moduli_above_the_bound():
@@ -219,12 +221,14 @@ def test_check_prime_refuses_moduli_above_the_bound():
 
 
 def test_is_prime_runs_once_per_modulus():
+    # An orbit report checks its prime in the orbit layer, in the stabiliser
+    # closure and in the closed form; trial division runs once.
+    stabiliser_group.cache_clear()
     is_prime.cache_clear()
-    group = group_closure(stabiliser_generators(StabiliserKind.THETA_VERTEX, 401))
-    assert len(group.elements) == 12
+    assert orbit_report(StabiliserKind.THETA_VERTEX, 401).match
     info = is_prime.cache_info()
-    assert info.misses == 1 and info.hits > 12
-    with pytest.raises(ValueError):
-        Mat2P(1, 0, 0, 1, 9)
-    with pytest.raises(ValueError):
-        Mat2P(1, 0, 0, 1, 9)
+    assert info.misses == 1 and info.hits >= 2
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            check_prime(9)
+    assert is_prime.cache_info().misses == 2

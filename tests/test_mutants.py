@@ -1,9 +1,9 @@
-"""Named mutants: each replaces one function of the pipeline, in every
-``tatek`` module that holds it by name, or one method of the working graph or
-the registry, the validity report a graph keeps, one function of the
-command-line parser or the orbit-minimum mask, or one prime-bound check, and
-the oracles paired with it must then fail.  A mutant that nothing catches
-marks an oracle to strengthen."""
+"""Named mutants: each replaces one function of the pipeline or the table of
+stabiliser generators, in every ``tatek`` module that holds it by name, or one
+method of the working graph or the registry, the validity report a graph
+keeps, one function of the command-line parser or the orbit-minimum mask, or
+one prime-bound check, and the oracles paired with it must then fail.  A
+mutant that nothing catches marks an oracle to strengthen."""
 
 import functools
 import inspect
@@ -308,14 +308,14 @@ def check_orbit_reports_at_p_2():
 # the identity; the whole-row test of an element with b = 0 and a != 1 stopped
 # at p/2 without -I; and the tie of a shared window tested for the first
 # (c, d) only.
-HALF_ROW_BOUND = "if p > 2 and (minus_one, 0, 0, minus_one) in keys:"
+HALF_ROW_BOUND = "if p > 2 and (minus_one, 0, 0, minus_one) in g.elements:"
 MASK_MUTANTS = {
     "half_rows_without_minus_identity": (
         [(HALF_ROW_BOUND, "if p > 2:")],
         [check_mask_examples, check_small_and_trivial_groups],
     ),
     "half_rows_at_p_2": (
-        [(HALF_ROW_BOUND, "if (minus_one, 0, 0, minus_one) in keys:")],
+        [(HALF_ROW_BOUND, "if (minus_one, 0, 0, minus_one) in g.elements:")],
         [
             check_small_and_trivial_groups,
             check_orbit_reports_at_p_2,
@@ -418,14 +418,29 @@ def fixture_checks(*stems: str) -> list:
     return [functools.partial(replay_fixture, stem) for stem in stems]
 
 
-def appending_duplicates(out: list[str], *citations: str) -> None:
-    """``merge_citations`` appending every non-empty citation, seen or not."""
-    out.extend(citation for citation in citations if citation)
+def keeping_duplicates(citations) -> tuple[str, ...]:
+    """``merge_citations`` keeping every non-empty citation, seen or not."""
+    return tuple(citation for citation in citations if citation)
 
 
-def counting_zero_too(m: modp.Mat2P) -> int:
+FIXED_POINTS = orbits.fixed_points
+
+
+def counting_zero_too(p: int, m: tuple[int, int, int, int]) -> int:
     """``fixed_points`` without the -1: p^k, the zero vector counted as fixed."""
-    return m.p ** orbits.kernel_dimension_of_m_minus_identity(m)
+    return FIXED_POINTS(p, m) + 1
+
+
+def with_rotation(kind: StabiliserKind, rotation: tuple[int, int, int, int]) -> dict:
+    """``modp.STABILISER_GENERATORS`` with the rotation of ``kind`` replaced."""
+    table = dict(modp.STABILISER_GENERATORS)
+    table[kind] = (table[kind][0], rotation)
+    return table
+
+
+def check_integer_stabilisers():
+    for kind in StabiliserKind:
+        test_orbits.test_integer_stabilisers_give_the_closed_forms(kind)
 
 
 def check_fixed_point_listing():
@@ -471,10 +486,13 @@ def check_rose_cover_slide_budget():
         test_graphs.assert_rose_covers_within_budget(p)
 
 
-# Mutants of one pipeline function each, as (module, name, the replacement,
-# the modules that hold it by name, the checks that must fail).  The sixth
-# turn replaced by the quarter turn makes the theta stabiliser the rose one,
-# and the quotient graph's Betti number negative at p = 2, 5 and 7.  A
+# Mutants of one pipeline function or table each, as (module, name, the
+# replacement, the modules that hold it by name, the checks that must fail).
+# The theta rotation of the generator table replaced by the rose's quarter
+# turn makes the theta stabiliser the rose one, and the quotient graph's
+# Betti number negative at p = 2, 5 and 7; the rose's quarter turn replaced
+# by -1 makes the rose stabiliser the edge one.  Both fail the closure of the
+# integer generators against the orders and the closed forms.  A
 # ``merge_citations`` that keeps duplicates passes ``run_selftest``: only the
 # golden fixtures catch it.  An ``order_p_classes`` without the phi class
 # fails the selftest's class count at n = p + 1; one whose theta parameters
@@ -556,21 +574,30 @@ PIPELINE_MUTANTS = {
     ),
     "sixth_turn_as_quarter_turn": (
         modp,
-        "sixth_turn",
-        lambda: modp.quarter_turn,
+        "STABILISER_GENERATORS",
+        lambda: with_rotation(
+            StabiliserKind.THETA_VERTEX, modp.STABILISER_GENERATORS[StabiliserKind.ROSE_VERTEX][1]
+        ),
         ["tatek.modp"],
         [functools.partial(orbits.quotient_summary, p) for p in (2, 5, 7)]
-        + [check_selftest]
+        + [check_selftest, check_integer_stabilisers]
         + fixture_checks(
             "orbits_p_5_format_text",
             "orbits_p_7_kind_theta_list_format_records",
             "tate_p_11_n_12_format_text",
         ),
     ),
+    "quarter_turn_as_minus_one": (
+        modp,
+        "STABILISER_GENERATORS",
+        lambda: with_rotation(StabiliserKind.ROSE_VERTEX, (-1, 0, 0, -1)),
+        ["tatek.modp"],
+        [check_integer_stabilisers, check_orbit_reports],
+    ),
     "merge_citations_keeping_duplicates": (
         series,
         "merge_citations",
-        lambda: appending_duplicates,
+        lambda: keeping_duplicates,
         ["tatek.assemble", "tatek.series"],
         fixture_checks(
             "rational_p_5_n_7_format_text",

@@ -2,17 +2,15 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings, strategies as st
 
 from expected_tables import ROWS, expected_count, row_matrices
-from oracles import identity, mat_apply, mat_power
+from oracles import IDENTITY, NEGATE, SIXTH_TURN, SWAP, mat_apply, mat_power, reduced
+from tatek import modp
 from tatek.modp import (
+    GENERIC_STABILISER_ORDER,
     ClosureExceedsBound,
-    Mat2P,
     MatrixGroup,
     StabiliserKind,
-    coordinate_swap,
     group_closure,
     is_prime,
-    negate_both,
-    sixth_turn,
     stabiliser_group,
 )
 from tatek.orbits import (
@@ -34,25 +32,25 @@ PRIMES_TO_97 = tuple(p for p in range(2, 98) if is_prime(p))
 
 
 def trivial_group(p: int) -> MatrixGroup:
-    return group_closure([identity(p)])
+    return group_closure(p, [IDENTITY])
 
 
 def test_fixed_points_identity():
-    assert fixed_points(identity(5)) == 24
+    assert fixed_points(5, IDENTITY) == 24
 
 
 def test_fixed_points_swap():
-    assert fixed_points(coordinate_swap(7)) == 6
+    assert fixed_points(7, SWAP) == 6
 
 
 def test_fixed_points_negate_mod2():
-    assert fixed_points(negate_both(2)) == 3
+    assert fixed_points(2, reduced(2, NEGATE)) == 3
 
 
 def test_fixed_points_sixth_turn():
-    assert fixed_points(sixth_turn(5)) == 0
+    assert fixed_points(5, reduced(5, SIXTH_TURN)) == 0
     # The same count holds for the transposed convention of this rotation.
-    assert fixed_points(Mat2P(0, -1, 1, 1, 5)) == 0
+    assert fixed_points(5, reduced(5, (0, -1, 1, 1))) == 0
 
 
 def test_fixed_point_listing_matches_count():
@@ -61,18 +59,18 @@ def test_fixed_point_listing_matches_count():
             for m in stabiliser_group(kind, p).elements:
                 # Every nonzero vector is tried: the oracle of the kernel count.
                 nonzero = [divmod(v, p) for v in range(1, p * p)]
-                solutions = [v for v in nonzero if mat_apply(m, v) == v]
-                assert len(solutions) == fixed_points(m)
+                solutions = [v for v in nonzero if mat_apply(p, m, v) == v]
+                assert len(solutions) == fixed_points(p, m)
                 for v in solutions:
                     assert v != (0, 0)
-                    assert mat_apply(m, v) == v
+                    assert mat_apply(p, m, v) == v
 
 
 def test_count_is_always_p_power_minus_one():
     for p in SMALL_PRIMES:
         for kind in StabiliserKind:
             for m in stabiliser_group(kind, p).elements:
-                count = fixed_points(m)
+                count = fixed_points(p, m)
                 assert count in (0, p - 1, p * p - 1)
 
 
@@ -84,12 +82,10 @@ def test_published_table_rows(kind, p):
     rows = ROWS[kind]
     assert len(matrices) == len(rows)
     for matrix, row in zip(matrices, rows):
-        assert fixed_points(matrix) == expected_count(row, p), (kind, p, matrix)
+        assert fixed_points(p, matrix) == expected_count(row, p), (kind, p, matrix)
     # The row words enumerate exactly the stabiliser group (after the
     # deduplication that happens at p = 2, 3).
-    assert {m.key() for m in matrices} == {
-        m.key() for m in stabiliser_group(kind, p).elements
-    }
+    assert set(matrices) == set(stabiliser_group(kind, p).elements)
 
 
 def test_burnside_trivial_group():
@@ -138,7 +134,7 @@ def reference_orbits(g: MatrixGroup) -> list[list[tuple[int, int]]]:
             v = (l, m)
             if v == (0, 0) or v in seen:
                 continue
-            orbit = {mat_apply(e, v) for e in g.elements}
+            orbit = {mat_apply(g.p, e, v) for e in g.elements}
             seen |= orbit
             orbits.append(sorted(orbit))
     return orbits
@@ -217,7 +213,6 @@ def reference_orbit_starts(g: MatrixGroup) -> list[int]:
     """The flat-index walker the minimum mask replaced, frozen here: each orbit
     is marked image by image from its smallest unseen index v = l*p + m."""
     p = g.p
-    entries = [m.key() for m in g.elements]
     seen = bytearray(p * p)
     seen[0] = 1
     starts = []
@@ -225,7 +220,7 @@ def reference_orbit_starts(g: MatrixGroup) -> list[int]:
     while v >= 0:
         starts.append(v)
         l, m = divmod(v, p)
-        for a, b, c, d in entries:
+        for a, b, c, d in g.elements:
             seen[(a * l + b * m) % p * p + (c * l + d * m) % p] = 1
         v = seen.find(0, v + 1)
     return starts
@@ -252,7 +247,7 @@ def _order(key: tuple[int, int, int, int], p: int) -> int:
 
 
 @st.composite
-def small_order_matrices(draw, p: int, shape: str) -> Mat2P:
+def small_order_matrices(draw, p: int, shape: str) -> tuple:
     """An invertible matrix of one shape: an element of a stabiliser group,
     or one of the shape (+-1 0; c d) or with arbitrary entries, raised to a
     power that leaves an order of at most 400."""
@@ -269,12 +264,12 @@ def small_order_matrices(draw, p: int, shape: str) -> Mat2P:
     # Largest first: Hypothesis leans to the first choice, which would
     # otherwise be q = 1 and so the identity.
     q = draw(st.sampled_from([q for q in range(min(n, 400), 0, -1) if n % q == 0]))
-    return mat_power(Mat2P(*key, p), n // q)
+    return mat_power(p, key, n // q)
 
 
 @st.composite
-def small_generators(draw) -> list[Mat2P]:
-    """One or two small-order generators at a prime <= 97, each of a shape
+def small_generators(draw) -> tuple[int, list[tuple]]:
+    """A prime p <= 97 and one or two small-order generators mod p, each of a shape
     drawn for it or one shape for both, so that two stabiliser elements often
     close a small group with shared first rows."""
     p = draw(st.sampled_from(PRIMES_TO_97))
@@ -282,14 +277,14 @@ def small_generators(draw) -> list[Mat2P]:
     if draw(st.booleans()):
         shapes = st.just(draw(shapes))
     matrices = shapes.flatmap(lambda shape: small_order_matrices(p, shape))
-    return draw(st.lists(matrices, min_size=1, max_size=2))
+    return p, draw(st.lists(matrices, min_size=1, max_size=2))
 
 
 @st.composite
 def small_groups(draw) -> MatrixGroup:
     """The groups of at most 400 elements that ``small_generators`` close."""
     try:
-        return group_closure(draw(small_generators()), bound=400)
+        return group_closure(*draw(small_generators()), bound=400)
     except ClosureExceedsBound:
         assume(False)
 
@@ -298,20 +293,20 @@ def small_groups(draw) -> MatrixGroup:
 # with b = 0 and a = -1 sets the rows above p/2 whole, and no bound that -I
 # would justify may skip those rows.
 MINUS_ONE_ROW_GROUPS = (
-    group_closure([Mat2P(4, 0, 2, 1, 5)]),
-    group_closure([Mat2P(6, 0, 3, 1, 7)]),
+    group_closure(5, [(4, 0, 2, 1)]),
+    group_closure(7, [(6, 0, 3, 1)]),
 )
 
 # A group of order 16 with pairs of elements that share a first row (a, +-1),
 # where for some row only the second of a pair maps the tie below itself and
 # no other element does.  Random groups almost never show this: the mask's
 # other elements nearly always mark such a tie anyway.
-SHARED_WINDOW_GROUP = group_closure([Mat2P(3, 1, 3, 2, 5), Mat2P(4, 3, 2, 1, 5)])
+SHARED_WINDOW_GROUP = group_closure(5, [(3, 1, 3, 2), (4, 3, 2, 1)])
 
 # The explicit examples of the random-group property, for the mutants too.
 MASK_EXAMPLES = (
-    group_closure([Mat2P(1, 0, 3, 2, 7)]),
-    group_closure([Mat2P(2, 3, 1, 1, 5)]),
+    group_closure(7, [(1, 0, 3, 2)]),
+    group_closure(5, [(2, 3, 1, 1)]),
     *MINUS_ONE_ROW_GROUPS,
     SHARED_WINDOW_GROUP,
 )
@@ -337,19 +332,19 @@ def test_mask_partition_matches_references_on_random_groups(group):
 
 
 def has_minus_identity(g: MatrixGroup) -> bool:
-    return g.p > 2 and (g.p - 1, 0, 0, g.p - 1) in (m.key() for m in g.elements)
+    return g.p > 2 and (g.p - 1, 0, 0, g.p - 1) in g.elements
 
 
 def shares_a_window(g: MatrixGroup) -> bool:
     """Two elements with one first row (a, +-1), so one window and two ties."""
-    rows = [(m.a, m.b) for m in g.elements if m.b in (1, g.p - 1)]
+    rows = [(a, b) for a, b, _, _ in g.elements if b in (1, g.p - 1)]
     return len(set(rows)) < len(rows)
 
 
 def test_explicit_mask_examples_have_their_shapes():
     for group in MINUS_ONE_ROW_GROUPS:
         assert group.order == 2 and not has_minus_identity(group)
-        assert any(m.b == 0 and m.a == group.p - 1 for m in group.elements)
+        assert any(b == 0 and a == group.p - 1 for a, b, _, _ in group.elements)
     assert SHARED_WINDOW_GROUP.order == 16 and shares_a_window(SHARED_WINDOW_GROUP)
 
 
@@ -366,18 +361,20 @@ def test_random_groups_reach_the_row_loop():
         small_groups(),
         lambda g: g.p > 2
         and not has_minus_identity(g)
-        and any(m.b == 0 and m.a == g.p - 1 for m in g.elements),
+        and any(b == 0 and a == g.p - 1 for a, b, _, _ in g.elements),
         settings=settings_,
     )
     find(small_groups(), shares_a_window, settings=settings_)
     find(
         small_groups(),
-        lambda g: any(m.b not in (0, 1, g.p - 1) for m in g.elements),
+        lambda g: any(b not in (0, 1, g.p - 1) for _, b, _, _ in g.elements),
         settings=settings_,
     )
     find(
         small_groups(),
-        lambda g: any(m.b == 0 and m.a == 1 and m.d not in (1, g.p - 1) for m in g.elements),
+        lambda g: any(
+            b == 0 and a == 1 and d not in (1, g.p - 1) for a, b, _, d in g.elements
+        ),
         settings=settings_,
     )
 
@@ -385,12 +382,53 @@ def test_random_groups_reach_the_row_loop():
 def test_mask_partition_at_p_2_and_3_and_for_the_trivial_group():
     for p in (2, 3):
         groups = [trivial_group(p)] + [stabiliser_group(k, p) for k in StabiliserKind]
-        groups += [group_closure([Mat2P(1, 1, 0, 1, p)]), group_closure([Mat2P(1, 0, 1, 1, p)])]
+        groups += [group_closure(p, [(1, 1, 0, 1)]), group_closure(p, [(1, 0, 1, 1)])]
         for group in groups:
             assert mask_starts(group) == reference_orbit_starts(group), (p, group.order)
             assert enumerate_orbits(group) == reference_orbits(group)
     for p in (2, 3, 5, 97):
         assert mask_starts(trivial_group(p)) == list(range(1, p * p))
+
+
+def integer_group(kind: StabiliserKind) -> set[tuple]:
+    """The group the kind's generators close in GL_2(Z), with no reduction;
+    closing stops past 24 elements."""
+    generators = modp.STABILISER_GENERATORS[kind]
+    group, frontier = {IDENTITY}, {IDENTITY}
+    while frontier and len(group) <= 24:
+        frontier = {
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for a, b, c, d in frontier
+            for e, f, g, h in generators
+        } - group
+        group |= frontier
+    return group
+
+
+# How many elements M of each integer stabiliser have dim ker(M - 1) = 2, 1, 0
+# over Q, and the orders of the groups reduced mod 2.
+KERNEL_DIMENSION_COUNTS = {"edge": (1, 2, 1), "rose": (1, 4, 3), "theta": (1, 6, 5)}
+ORDER_MOD_2 = {"edge": 2, "rose": 2, "theta": 6}
+
+
+@pytest.mark.parametrize("kind", list(StabiliserKind), ids=lambda kind: kind.value)
+def test_integer_stabilisers_give_the_closed_forms(kind):
+    group = integer_group(kind)
+    assert len(group) == GENERIC_STABILISER_ORDER[kind]
+    assert all(set(m) <= {-1, 0, 1} for m in group)
+    singular = [(a - 1) * (d - 1) - b * c == 0 for a, b, c, d in group - {IDENTITY}]
+    counts = (1, singular.count(True), singular.count(False))
+    assert counts == KERNEL_DIMENSION_COUNTS[kind.value]
+    assert len({reduced(2, m) for m in group}) == ORDER_MOD_2[kind.value]
+    for p in PRIMES_TO_97[1:]:
+        reductions = {reduced(p, m) for m in group}
+        assert len(reductions) == len(group), p
+        assert reductions == set(stabiliser_group(kind, p).elements), p
+    # Where the kernel dimensions mod p are those over Q, Burnside's average
+    # is a polynomial in p: the closed form.
+    for p in filter(is_prime, range(5, 2000)):
+        fixed = counts[0] * (p * p - 1) + counts[1] * (p - 1)
+        assert fixed == closed_form_orbits(kind, p) * len(group), p
 
 
 def test_stabiliser_entries_lie_in_zero_and_plus_minus_one():
@@ -399,7 +437,7 @@ def test_stabiliser_entries_lie_in_zero_and_plus_minus_one():
         for kind in StabiliserKind:
             group = stabiliser_group(kind, p)
             for m in group.elements:
-                assert set(m.key()) <= {0, 1, p - 1}, (kind, p, m)
+                assert set(m) <= {0, 1, p - 1}, (kind, p, m)
 
 
 def test_orbit_report_matches_closed_form_through_the_benchmark_range():

@@ -129,7 +129,7 @@ def _error(make) -> tuple[type, str]:
 
 def test_every_value_class_has_samples():
     assert {c.__qualname__ for c in VALUE_CLASSES} >= {
-        "Mat2P", "MatrixGroup", "EquivariantGraph", "Move", "GroupExpr", "Finite", "TableDocument",
+        "MatrixGroup", "OrbitReport", "EquivariantGraph", "Move", "GroupExpr", "Finite", "TableDocument",
     }
     assert [c for c in VALUE_CLASSES if c not in SAMPLES] == []
 
@@ -225,14 +225,15 @@ def test_copy_and_pickle_like_twin(cls):
 
 
 def test_post_init_may_set_fields():
-    m = modp.Mat2P(8, -1, 0, 1, 7)
-    assert m.key() == (1, 6, 0, 1)
-    assert repr(m) == "Mat2P(a=1, b=6, c=0, d=1, p=7)"
     g = graphs.EquivariantGraph(
         p=2, n_vertices=2, involution=[1, 0], attach=[0, 1], vertex_action=[1, 0],
         half_edge_action=[1, 0],
     )
     assert g.involution == (1, 0) and type(g.attach) is tuple
+    assert repr(g) == (
+        "EquivariantGraph(p=2, n_vertices=2, involution=(1, 0), attach=(0, 1), "
+        "vertex_action=(1, 0), half_edge_action=(1, 0))"
+    )
 
 
 def test_cached_property_on_graph():
