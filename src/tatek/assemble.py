@@ -4,13 +4,16 @@ For a group with a finite classifying space for proper actions, the
 Farrell-Tate K-theory in degree m is the product over conjugacy classes [g]
 of nontrivial p-power order of the even (m = 0) or odd (m = 1) rational
 cohomology of the centraliser of <g>, with Q_p coefficients.  Every series in
-scope has finite support, so the products collapse to finite integer sums and
-the only data a result carries are two dimensions.  Unknown is a first-class
-value naming the registry entry that blocks a computation, so unfilled table
-cells reproduce faithfully instead of erroring.
+scope has finite support, so the products collapse to finite integer sums: a
+result stores one part per conjugacy class, and reads its two dimensions from
+its parts.  Unknown is a first-class value naming the registry entry that
+blocks a computation, so unfilled table cells reproduce faithfully instead of
+erroring.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from ._value import Value, _cut
 from .classes import OutOfRange, centraliser_of, order_p_classes
@@ -18,12 +21,13 @@ from .modp import check_prime
 from .series import (
     FreeAbelian,
     FreeGroup,
+    GroupExpr,
     RegistryDataError,
+    RegistryRef,
     UnknownCohomology,
     citations_of,
     even_odd_totals,
     merge_citations,
-    registry_lookup,
     series_of,
 )
 
@@ -47,53 +51,75 @@ class Contribution(Value):
     odd: Dim
 
 
-def _first_unknown(dims) -> Unknown | None:
-    """The blocker of a result: its first Unknown dimension in reading order
-    (class order, even before odd, then the ``OutF<n>`` entry), or None."""
-    return next((d for d in dims if isinstance(d, Unknown)), None)
+def _part(label: str, expr: GroupExpr, n: int) -> Contribution:
+    """The part of one conjugacy class of Out(F_n): the even and odd totals of
+    its centraliser's series, or the Unknown that blocks both.  A series above
+    degree 2n, past the virtual cohomological dimension 2n - 3, is refused."""
+    try:
+        series = series_of(expr)
+    except UnknownCohomology as exc:
+        blocked = Unknown(exc.name)
+        return Contribution(label=label, even=blocked, odd=blocked)
+    if series.max_degree > 2 * n:
+        raise RegistryDataError(
+            f"class {label}: the registry dims of {expr} reach degree "
+            f"{_cut(str(series.max_degree))}, above 2n = {2 * n}"
+        )
+    even, odd = even_odd_totals(series)
+    return Contribution(label=label, even=even, odd=odd)
 
 
-def _known(result) -> bool:
-    """Whether a result's dimensions are known; a blocker blocks both."""
-    return not isinstance(result.dim_even, Unknown)
+def _sum(parts: tuple[Contribution, ...]) -> tuple[Dim, Dim]:
+    """The even and odd totals of a result's parts.  The first blocked part in
+    reading order blocks both totals with its Unknown."""
+    for part in parts:
+        if isinstance(part.even, Unknown):
+            return part.even, part.even
+    return sum(part.even for part in parts), sum(part.odd for part in parts)
 
 
-class TateKResult(Value):
+class _ReadFromParts:
+    """What a result reads from its parts, ``_parts()``, by :func:`_sum`: the
+    totals, the blocker, and weak duality and the Euler characteristic, which
+    carry the blocker's Unknown when there is one."""
+
+    @cached_property
+    def _totals(self) -> tuple[Dim, Dim]:
+        return _sum(self._parts())
+
+    @property
+    def dim_even(self) -> Dim:
+        return self._totals[0]
+
+    @property
+    def dim_odd(self) -> Dim:
+        return self._totals[1]
+
+    @property
+    def known(self) -> bool:
+        return not isinstance(self._totals[0], Unknown)
+
+    @property
+    def blocker(self) -> str | None:
+        return None if self.known else self._totals[0].blocker
+
+    @property
+    def weak_duality(self) -> bool | Unknown:
+        return self.dim_odd == 0 if self.known else self.dim_odd
+
+    @property
+    def euler_char(self) -> int | Unknown:
+        return self.dim_even - self.dim_odd if self.known else self.dim_odd
+
+
+class TateKResult(_ReadFromParts, Value):
     p: int
     group_id: str
-    dim_even: Dim
-    dim_odd: Dim
-    weak_duality: bool | Unknown
-    euler_char: int | Unknown
     contributions: tuple[Contribution, ...]
     citations: tuple[str, ...]
 
-    known = property(_known)
-
-
-def _finish(
-    p: int,
-    group_id: str,
-    contributions: tuple[Contribution, ...],
-    citations: tuple[str, ...],
-) -> TateKResult:
-    blocked = _first_unknown(d for c in contributions for d in (c.even, c.odd))
-    if blocked is None:
-        even = sum(c.even for c in contributions)
-        odd = sum(c.odd for c in contributions)
-        duality, euler = odd == 0, even - odd
-    else:
-        even = odd = duality = euler = blocked
-    return TateKResult(
-        p=p,
-        group_id=group_id,
-        dim_even=even,
-        dim_odd=odd,
-        weak_duality=duality,
-        euler_char=euler,
-        contributions=contributions,
-        citations=citations,
-    )
+    def _parts(self) -> tuple[Contribution, ...]:
+        return self.contributions
 
 
 def tate_k(p: int, n: int) -> TateKResult:
@@ -106,58 +132,31 @@ def tate_k(p: int, n: int) -> TateKResult:
     citations: list[str] = []
     for c in order_p_classes(p, n).classes:
         expr = centraliser_of(c)
-        try:
-            series = series_of(expr)
-            if series.max_degree > 2 * n:
-                raise RegistryDataError(
-                    f"class {c.label}: the registry dims of {expr} reach degree "
-                    f"{_cut(str(series.max_degree))}, above 2n = {2 * n}"
-                )
-            even, odd = even_odd_totals(series)
-        except UnknownCohomology as exc:
-            even = odd = Unknown(exc.name)
-        contributions.append(Contribution(label=c.label, even=even, odd=odd))
+        contributions.append(_part(c.label, expr, n))
         citations += (c.citation, *citations_of(expr))
-    return _finish(p, f"Out(F_{n})", tuple(contributions), merge_citations(citations))
+    return TateKResult(p, f"Out(F_{n})", tuple(contributions), merge_citations(citations))
 
 
-class RationalKResult(Value):
-    """Rationalised p-adic K-theory of B Out(F_n): Tate dims plus H^*(Out(F_n))."""
+class RationalKResult(_ReadFromParts, Value):
+    """Rationalised p-adic K-theory of B Out(F_n): the Farrell-Tate parts, then
+    ``outfn``, the part of the identity's class, whose centraliser is Out(F_n)."""
 
     p: int
     n: int
-    dim_even: Dim
-    dim_odd: Dim
     tate: TateKResult
-    outfn_even: Dim
-    outfn_odd: Dim
+    outfn: Contribution
     citations: tuple[str, ...]
 
-    known = property(_known)
+    def _parts(self) -> tuple[Contribution, ...]:
+        return (*self.tate.contributions, self.outfn)
 
 
 def rational_k(p: int, n: int) -> RationalKResult:
     tate = tate_k(p, n)
-    entry = registry_lookup(f"OutF{n}")
-    if entry.known:
-        out_even, out_odd = even_odd_totals(entry.series)
-    else:
-        out_even = out_odd = Unknown(entry.name)
-    blocked = _first_unknown((tate.dim_even, out_even))
-    if blocked is None:
-        even, odd = tate.dim_even + out_even, tate.dim_odd + out_odd
-    else:
-        even = odd = blocked
-    return RationalKResult(
-        p=p,
-        n=n,
-        dim_even=even,
-        dim_odd=odd,
-        tate=tate,
-        outfn_even=out_even,
-        outfn_odd=out_odd,
-        citations=merge_citations((*tate.citations, entry.citation)),
-    )
+    identity = RegistryRef(f"OutF{n}")
+    outfn = _part("identity", identity, n)
+    citations = merge_citations((*tate.citations, *citations_of(identity)))
+    return RationalKResult(p, n, tate, outfn, citations)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,8 @@ def example_sl3() -> tuple[TateKResult, TateKResult]:
         for label in ("order3_class_1", "order3_class_2")
     )
     return (
-        _finish(2, "SL_3(Z)", two_power, _SL3_CITATIONS),
-        _finish(3, "SL_3(Z)", three_power, _SL3_CITATIONS),
+        TateKResult(2, "SL_3(Z)", two_power, _SL3_CITATIONS),
+        TateKResult(3, "SL_3(Z)", three_power, _SL3_CITATIONS),
     )
 
 
@@ -263,7 +262,7 @@ def example_gl(p: int, class_number: int | None = None) -> TateKResult:
     contribution = Contribution(
         label=f"ideal_classes(h={h})", even=h * per_class[0], odd=h * per_class[1]
     )
-    return _finish(p, f"GL_{p - 1}(Z)", (contribution,), _GL_CITATIONS)
+    return TateKResult(p, f"GL_{p - 1}(Z)", (contribution,), _GL_CITATIONS)
 
 
 def example_sp(p: int, relative_class_number: int | None = None) -> TateKResult:
@@ -278,7 +277,7 @@ def example_sp(p: int, relative_class_number: int | None = None) -> TateKResult:
     contribution = Contribution(
         label=f"pair_classes(h_minus={h_minus})", even=count, odd=0
     )
-    return _finish(p, f"Sp_{p - 1}(Z)", (contribution,), _SP_CITATIONS)
+    return TateKResult(p, f"Sp_{p - 1}(Z)", (contribution,), _SP_CITATIONS)
 
 
 def example_mcg(p: int) -> TateKResult:
@@ -291,7 +290,7 @@ def example_mcg(p: int) -> TateKResult:
     if remainder != 0:
         raise NonIntegral(f"(p+1)(p-1) = {product} is not divisible by 6")
     contribution = Contribution(label="order_p_classes", even=count, odd=0)
-    return _finish(p, f"MCG(Sigma_{(p - 1) // 2})", (contribution,), _MCG_CITATIONS)
+    return TateKResult(p, f"MCG(Sigma_{(p - 1) // 2})", (contribution,), _MCG_CITATIONS)
 
 
 def example_amalgam(p: int) -> TateKResult:
@@ -302,7 +301,7 @@ def example_amalgam(p: int) -> TateKResult:
         raise ValueError(f"the amalgam family needs an odd prime, got {p}")
     even, odd = even_odd_totals(series_of(FreeGroup(p - 2)))
     contribution = Contribution(label="order_p_class", even=even, odd=odd)
-    return _finish(p, f"amalgam(p={p})", (contribution,), _AMALGAM_CITATIONS)
+    return TateKResult(p, f"amalgam(p={p})", (contribution,), _AMALGAM_CITATIONS)
 
 
 EXAMPLE_FAMILIES = ("sl3", "gl", "sp", "mcg", "amalgam")
@@ -316,65 +315,26 @@ TABLE4_PRIMES = (2, 3, 5, 7, 11)
 TABLE5_RANKS = tuple(range(2, 8))
 TABLE5_PRIMES = (2, 3, 5, 7)
 
-OUT_OF_RANGE_REASON = "outside the supported classification range"
-
-
-class TableCell(Value):
-    n: int
-    p: int
-    status: str  # "known" | "unknown"
-    even: int | None
-    odd: int | None
-    blocker: str | None
-    reason: str | None
-
 
 class TableDocument(Value):
+    """A table's cells in (n, p) order: each the ``tate_k`` or ``rational_k``
+    result, unknown ones included, or None where that raises OutOfRange."""
+
     which: int
     title: str
     ranks: tuple[int, ...]
     primes: tuple[int, ...]
-    cells: tuple[TableCell, ...]
+    cells: tuple[TateKResult | RationalKResult | None, ...]
     citations: tuple[str, ...]
 
-    def cell(self, n: int, p: int) -> TableCell:
-        for c in self.cells:
-            if c.n == n and c.p == p:
-                return c
-        raise KeyError((n, p))
-
-
-def _cell(compute, p: int, n: int, citations: list[str]) -> TableCell:
-    """One table cell from ``compute(p, n)``, ``tate_k`` or ``rational_k``."""
-    try:
-        result = compute(p, n)
-    except OutOfRange:
-        return TableCell(
-            n=n, p=p, status="unknown", even=None, odd=None, blocker=None,
-            reason=OUT_OF_RANGE_REASON,
-        )
-    citations += result.citations
-    if not result.known:
-        blocker = result.dim_even.blocker
-        return TableCell(
-            n=n, p=p, status="unknown", even=None, odd=None, blocker=blocker,
-            reason=f"blocked on registry entry {blocker}",
-        )
-    return TableCell(
-        n=n, p=p, status="known",
-        even=result.dim_even, odd=result.dim_odd,
-        blocker=None, reason=None,
-    )
+    def cell(self, n: int, p: int) -> TateKResult | RationalKResult | None:
+        if n not in self.ranks or p not in self.primes:
+            raise KeyError((n, p))
+        return self.cells[self.ranks.index(n) * len(self.primes) + self.primes.index(p)]
 
 
 def emit_table(which: int) -> TableDocument:
-    """Table 4 (Farrell-Tate dims of Out(F_n)) or 5 (rationalised p-adic dims).
-
-    Cells are ordered by (n, p); cells the available methods cannot compute
-    are emitted with status "unknown", carrying the blocking registry entry
-    name where one exists.
-    """
-    citations: list[str] = []
+    """Table 4 (Farrell-Tate dims of Out(F_n)) or 5 (rationalised p-adic dims)."""
     if which == 4:
         ranks, primes, compute = TABLE4_RANKS, TABLE4_PRIMES, tate_k
         title = "p-adic Farrell-Tate K-theory of Out(F_n): (even, odd) Q_p-dimensions"
@@ -383,12 +343,12 @@ def emit_table(which: int) -> TableDocument:
         title = "Rationalised p-adic K-theory of B Out(F_n): (even, odd) Q_p-dimensions"
     else:
         raise ValueError(f"no such table: {which} (supported: 4, 5)")
-    cells = tuple(_cell(compute, p, n, citations) for n in ranks for p in primes)
-    return TableDocument(
-        which=which,
-        title=title,
-        ranks=ranks,
-        primes=primes,
-        cells=cells,
-        citations=merge_citations(citations),
-    )
+    cells = []
+    for n in ranks:
+        for p in primes:
+            try:
+                cells.append(compute(p, n))
+            except OutOfRange:
+                cells.append(None)
+    citations = merge_citations(c for cell in cells if cell is not None for c in cell.citations)
+    return TableDocument(which, title, ranks, primes, tuple(cells), citations)

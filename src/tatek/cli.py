@@ -109,9 +109,8 @@ def _status_items(record: dict, title: str, result) -> list[Item]:
         record.update(status="known", even=result.dim_even, odd=result.dim_odd)
         line = f"even: {result.dim_even}, odd: {result.dim_odd}"
     else:
-        blocker = result.dim_even.blocker
-        record.update(status="unknown", blocker=blocker)
-        line = f"even: unknown, odd: unknown (blocked on {blocker})"
+        record.update(status="unknown", blocker=result.blocker)
+        line = f"even: unknown, odd: unknown (blocked on {result.blocker})"
     return [(record, title), (None, line)]
 
 
@@ -233,7 +232,7 @@ def cmd_rational(args) -> int:
     items = _status_items(record, title, result)
     if result.known:
         tate_even, tate_odd = result.tate.dim_even, result.tate.dim_odd
-        outfn_even, outfn_odd = result.outfn_even, result.outfn_odd
+        outfn_even, outfn_odd = result.outfn.even, result.outfn.odd
         record.update(
             tate_even=tate_even, tate_odd=tate_odd, outfn_even=outfn_even, outfn_odd=outfn_odd
         )
@@ -250,28 +249,29 @@ def cmd_rational(args) -> int:
 def cmd_table(args) -> int:
     doc = emit_table(args.which)
     rows = [["n\\p"] + [str(p) for p in doc.primes]]
+    cell_items: list[Item] = []
     for n in doc.ranks:
         row = [str(n)]
         for p in doc.primes:
-            cell = doc.cell(n, p)
-            row.append(f"{cell.even}/{cell.odd}" if cell.status == "known" else "?")
+            result = doc.cell(n, p)
+            record = dict(record="cell", table=doc.which, n=n, p=p, status="unknown")
+            note = None
+            if result is None:
+                record["reason"] = "outside the supported classification range"
+            elif result.known:
+                record.update(status="known", even=result.dim_even, odd=result.dim_odd)
+            else:
+                blocker = result.blocker
+                record.update(blocker=blocker, reason=f"blocked on registry entry {blocker}")
+                note = f"unknown at (n={n}, p={p}): blocked on {blocker}"
+            row.append(f"{record['even']}/{record['odd']}" if "even" in record else "?")
+            cell_items.append((record, note))
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     items: list[Item] = [(None, doc.title)]
     items += [(None, "  ".join(x.rjust(w) for x, w in zip(r, widths))) for r in rows]
-    for cell in doc.cells:
-        record = dict(record="cell", table=doc.which, n=cell.n, p=cell.p, status=cell.status)
-        note = None
-        if cell.status == "known":
-            record.update(even=cell.even, odd=cell.odd)
-        else:
-            if cell.blocker:
-                record["blocker"] = cell.blocker
-                note = f"unknown at (n={cell.n}, p={cell.p}): blocked on {cell.blocker}"
-            if cell.reason:
-                record["reason"] = cell.reason
-        items.append((record, note))
-    if any(c.status == "unknown" and not c.blocker for c in doc.cells):
+    items += cell_items
+    if any(cell is None for cell in doc.cells):
         note = "cells marked ? without a blocker are outside the supported classification range"
         items.append((None, note))
     items += _citation_items(doc.citations, not args.no_cite)

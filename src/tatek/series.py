@@ -78,26 +78,6 @@ class PoincareSeries(Value):
         return PoincareSeries.from_dims(out)
 
 
-def series_point() -> PoincareSeries:
-    """The series of any finite group: rationally acyclic."""
-    return PoincareSeries.from_dims({0: 1})
-
-
-def series_free_group(rank: int) -> PoincareSeries:
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
-    return PoincareSeries.from_dims({0: 1, 1: rank})
-
-
-def series_free_abelian(rank: int) -> PoincareSeries:
-    """Exterior algebra on `rank` degree-one generators: binomial dimensions."""
-    from math import comb
-
-    if rank < 0:
-        raise ValueError("rank must be >= 0")
-    return PoincareSeries.from_dims({i: comb(rank, i) for i in range(rank + 1)})
-
-
 def even_odd_totals(s: PoincareSeries) -> tuple[int, int]:
     even = sum(v for d, v in s.pairs if d % 2 == 0)
     odd = sum(v for d, v in s.pairs if d % 2 == 1)
@@ -149,7 +129,8 @@ class GroupExpr(Value):
 
 class Finite(GroupExpr):
     def series(self) -> PoincareSeries:
-        return series_point()
+        """The series of any finite group: rationally acyclic."""
+        return PoincareSeries.from_dims({0: 1})
 
     def __str__(self) -> str:
         return "finite"
@@ -159,7 +140,9 @@ class FreeGroup(GroupExpr):
     rank: int
 
     def series(self) -> PoincareSeries:
-        return series_free_group(self.rank)
+        if self.rank < 0:
+            raise ValueError("rank must be >= 0")
+        return PoincareSeries.from_dims({0: 1, 1: self.rank})
 
     def __str__(self) -> str:
         return f"free({self.rank})"
@@ -169,7 +152,12 @@ class FreeAbelian(GroupExpr):
     rank: int
 
     def series(self) -> PoincareSeries:
-        return series_free_abelian(self.rank)
+        """Exterior algebra on `rank` degree-one generators: binomial dimensions."""
+        from math import comb
+
+        if self.rank < 0:
+            raise ValueError("rank must be >= 0")
+        return PoincareSeries.from_dims({i: comb(self.rank, i) for i in range(self.rank + 1)})
 
     def __str__(self) -> str:
         return f"Z^{self.rank}"
@@ -195,7 +183,7 @@ class Product(GroupExpr):
     factors: tuple[GroupExpr, ...]
 
     def series(self) -> PoincareSeries:
-        result = series_point()
+        result = PoincareSeries.from_dims({0: 1})  # a point's series, the unit
         for factor in self.factors:
             result = result.convolve(series_of(factor))
         return result

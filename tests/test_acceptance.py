@@ -140,16 +140,15 @@ def test_criterion_05_table4_reproduction():
     ) + len(TABLE4_BLANK)
     for (n, p), (even, odd) in TABLE4_FILLED.items():
         cell = table.cell(n, p)
-        assert cell.status == "known" and (cell.even, cell.odd) == (even, odd), (n, p)
+        assert cell.known and (cell.dim_even, cell.dim_odd) == (even, odd), (n, p)
     for n, p in TABLE4_ZERO:
         cell = table.cell(n, p)
-        assert cell.status == "known" and (cell.even, cell.odd) == (0, 0), (n, p)
+        assert cell.known and (cell.dim_even, cell.dim_odd) == (0, 0), (n, p)
     for (n, p), blocker in TABLE4_BLOCKED.items():
         cell = table.cell(n, p)
-        assert cell.status == "unknown" and cell.blocker == blocker, (n, p)
+        assert not cell.known and cell.blocker == blocker, (n, p)
     for n, p in TABLE4_BLANK:
-        cell = table.cell(n, p)
-        assert cell.status == "unknown" and cell.blocker is None, (n, p)
+        assert table.cell(n, p) is None, (n, p)
     _pass(5, "all 55 cells of table 4 reproduce, including the blocked (11, 7)")
 
 
@@ -171,10 +170,9 @@ def test_criterion_06_table5_reproduction():
     assert len(table.cells) == 24
     for (n, p), (even, odd) in TABLE5_FILLED.items():
         cell = table.cell(n, p)
-        assert cell.status == "known" and (cell.even, cell.odd) == (even, odd), (n, p)
+        assert cell.known and (cell.dim_even, cell.dim_odd) == (even, odd), (n, p)
     for n, p in TABLE5_BLANK:
-        cell = table.cell(n, p)
-        assert cell.status == "unknown", (n, p)
+        assert table.cell(n, p) is None, (n, p)
     _pass(6, "all 24 cells of table 5 reproduce, including (7,5)=5/1 and (7,7)=4/1")
 
 

@@ -60,13 +60,26 @@ def test_tate_k_grows_linearly_in_its_classes():
     assert seconds(20011, 40019) / small < 7
 
 
-def test_tate_result_invariants():
-    for p, n in ((5, 6), (7, 8), (11, 12), (13, 14), (5, 8), (2, 2)):
-        result = tate_k(p, n)
-        assert result.dim_even == sum(c.even for c in result.contributions)
-        assert result.dim_odd == sum(c.odd for c in result.contributions)
-        assert result.weak_duality == (result.dim_odd == 0)
-        assert result.euler_char == result.dim_even - result.dim_odd
+def blocked_parts(parts) -> list[str]:
+    return [c.even.blocker for c in parts if isinstance(c.even, Unknown)]
+
+
+def test_the_first_blocked_part_in_reading_order_blocks_the_result():
+    # Class order: at (11, 16) the rose core comes before AutF6.
+    result = tate_k(11, 16)
+    assert blocked_parts(result.contributions) == ["F5SemidirectAutF5_Z2invariants", "AutF6"]
+    assert result.blocker == "F5SemidirectAutF5_Z2invariants"
+    assert result.dim_even == result.dim_odd == Unknown("F5SemidirectAutF5_Z2invariants")
+    assert not result.known
+    # The classes come before the identity's part, OutF11 here.
+    result = rational_k(7, 11)
+    assert result.outfn.even == Unknown("OutF11")
+    assert result.blocker == result.tate.blocker == "F4SemidirectAutF4_Z2invariants"
+    # Known classes, unknown identity: the identity's part blocks.
+    result = rational_k(7, 8)
+    assert result.tate.known and result.tate.blocker is None
+    assert result.blocker == "OutF8"
+    assert result.weak_duality == result.euler_char == Unknown("OutF8")
 
 
 def test_contributions_itemized_phi_removal():
@@ -200,20 +213,23 @@ def test_mcg_divisibility_guard():
 
 def test_table4_spot_cells():
     table = emit_table(4)
-    assert (table.cell(8, 7).even, table.cell(8, 7).odd) == (4, 0)
-    assert (table.cell(12, 11).even, table.cell(12, 11).odd) == (4, 1)
+    assert dims(table.cell(8, 7)) == (4, 0)
+    assert dims(table.cell(12, 11)) == (4, 1)
     blocked = table.cell(11, 7)
-    assert blocked.status == "unknown"
+    assert not blocked.known
     assert blocked.blocker == "F4SemidirectAutF4_Z2invariants"
-    out_of_range = table.cell(12, 5)
-    assert out_of_range.status == "unknown" and out_of_range.blocker is None
+    assert table.cell(12, 5) is None
+    assert table.cell(8, 7) == tate_k(7, 8)
+    with pytest.raises(KeyError):
+        table.cell(13, 2)
 
 
 def test_table5_spot_cells():
     table = emit_table(5)
-    assert (table.cell(2, 2).even, table.cell(2, 2).odd) == (5, 0)
-    assert (table.cell(7, 5).even, table.cell(7, 5).odd) == (5, 1)
-    assert (table.cell(7, 7).even, table.cell(7, 7).odd) == (4, 1)
+    assert dims(table.cell(2, 2)) == (5, 0)
+    assert dims(table.cell(7, 5)) == (5, 1)
+    assert dims(table.cell(7, 7)) == (4, 1)
+    assert table.cell(7, 5) == rational_k(5, 7)
 
 
 def test_emit_table_rejects_other_numbers():

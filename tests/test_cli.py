@@ -611,19 +611,22 @@ def test_registry_data_errors(doc, argv, message, registry_override, capsys):
 # At p = 5, n = 6 the centraliser of theta(0,2) is finite x finite x AutF2, so
 # an AutF2 series meets the degree bound 2n = 12 of ``tate_k`` at degree 12.
 TATE_5_6_RECORDS = ["tate", "--p", "5", "--n", "6", "--format", "records"]
+# The identity's class of Out(F_4) has the centraliser OutF4, whose series
+# meets the same bound 2n = 8 of ``rational_k`` at degree 8.
+RATIONAL_5_4_RECORDS = ["rational", "--p", "5", "--n", "4", "--format", "records"]
 
 
-def _autf2_reaching(tmp_path, degree: int) -> str:
-    """An override file whose AutF2 series has one more class, in ``degree``."""
-    path = tmp_path / f"autf2_degree_{degree}.json"
+def _reaching(tmp_path, name: str, degree: int) -> str:
+    """An override file whose ``name`` series has one more class, in ``degree``."""
+    path = tmp_path / f"{name}_degree_{degree}.json"
     dims = {"0": 1, str(degree): 1}
-    doc = _with_entry("AutF2", {"status": "known", "citation": "x", "dims": dims})
+    doc = _with_entry(name, {"status": "known", "citation": "x", "dims": dims})
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
 def assert_series_at_degree_2n_is_summed(tmp_path):
-    result = run_main(TATE_5_6_RECORDS, registry=_autf2_reaching(tmp_path, 12))
+    result = run_main(TATE_5_6_RECORDS, registry=_reaching(tmp_path, "AutF2", 12))
     assert (result["exit"], result["stderr"]) == (0, "")
     lines = result["stdout"].splitlines()
     assert lines[0] == (
@@ -633,11 +636,29 @@ def assert_series_at_degree_2n_is_summed(tmp_path):
 
 
 def assert_series_above_degree_2n_is_refused(tmp_path):
-    result = run_main(TATE_5_6_RECORDS, registry=_autf2_reaching(tmp_path, 13))
+    result = run_main(TATE_5_6_RECORDS, registry=_reaching(tmp_path, "AutF2", 13))
     assert (result["exit"], result["stdout"]) == (3, "")
     assert result["stderr"] == (
         "error: RegistryDataError: class theta(0,2): the registry dims of finite x finite x "
         "AutF2 reach degree 13, above 2n = 12\n"
+    )
+
+
+def assert_identity_series_at_degree_2n_is_summed(tmp_path):
+    result = run_main(RATIONAL_5_4_RECORDS, registry=_reaching(tmp_path, "OutF4", 8))
+    assert (result["exit"], result["stderr"]) == (0, "")
+    assert result["stdout"].splitlines()[0] == (
+        "record=rational p=5 n=4 status=known even=3 odd=0 tate_even=1 tate_odd=0 "
+        "outfn_even=2 outfn_odd=0"
+    )
+
+
+def assert_identity_series_above_degree_2n_is_refused(tmp_path):
+    result = run_main(RATIONAL_5_4_RECORDS, registry=_reaching(tmp_path, "OutF4", 9))
+    assert (result["exit"], result["stdout"]) == (3, "")
+    assert result["stderr"] == (
+        "error: RegistryDataError: class identity: the registry dims of OutF4 reach degree 9, "
+        "above 2n = 8\n"
     )
 
 
@@ -647,6 +668,16 @@ def test_registry_series_at_degree_2n_is_summed(tmp_path):
 
 def test_registry_series_at_degree_2n_plus_1_is_refused(tmp_path):
     assert_series_above_degree_2n_is_refused(tmp_path)
+
+
+def test_identity_series_at_degree_2n_is_summed(tmp_path):
+    assert_identity_series_at_degree_2n_is_summed(tmp_path)
+
+
+def test_identity_series_at_degree_2n_plus_1_is_refused(tmp_path):
+    """``rational`` bounds the identity's part, ``OutF<n>``, as ``tate`` bounds
+    each centraliser; an ``OutF4`` series reaching degree 9 was once summed."""
+    assert_identity_series_above_degree_2n_is_refused(tmp_path)
 
 
 def _registries_with_a_huge_value() -> dict[str, dict]:
@@ -823,10 +854,8 @@ def test_selftest_reports_each_failed_fact(monkeypatch, capsys):
         "ok   weak duality pattern across the supported ranks: 4 passed, 0 failed",
         "ok   class counts over the periodic range: 4 passed, 0 failed",
         "FAIL published table cells: 30 passed, 2 failed",
-        "     - table 4 cell (n=2, p=2): got TableCell(n=2, p=2, status='known', even=4, odd=0, "
-        "blocker=None, reason=None)",
-        "     - table 5 cell (n=3, p=5): got TableCell(n=3, p=5, status='known', even=1, odd=0, "
-        "blocker=None, reason=None)",
+        "     - table 4 cell (n=2, p=2): got (4, 0)",
+        "     - table 5 cell (n=3, p=5): got (1, 0)",
         "ok   example families: 34 passed, 0 failed",
         "ok   equivariant graph moves and normal forms: 90 passed, 0 failed",
         "selftest total: 185 passed, 2 failed",

@@ -205,6 +205,23 @@ def test_class_lists_match_their_digest():
     assert digest.hexdigest() == CLASS_LISTS_SHA256
 
 
+# SHA-256 over the stdout and exit code of ``tate --p P --n N`` and
+# ``rational --p P --n N``, both in records, run in the order of
+# ``class_list_pairs``: every assembled answer of the enumeration, with its
+# contributions, blocker and citations, pinned at once.
+ANSWERS_SHA256 = "a248ffc7f9d7feaec4fa3c3901c092a072042d93b0db17731cce5d0fdf02aa56"
+
+
+def test_tate_and_rational_answers_match_their_digest():
+    digest = hashlib.sha256()
+    for p, n in class_list_pairs():
+        for command in ("tate", "rational"):
+            result = run_main([command, "--p", str(p), "--n", str(n), "--format", "records"])
+            assert result["stderr"] == "", (command, p, n)
+            digest.update(f"{result['exit']}\n{result['stdout']}".encode())
+    assert digest.hexdigest() == ANSWERS_SHA256
+
+
 # SHA-256 over the stdout of ``orbits --p P`` and ``orbits --p P --list``,
 # each in text then records, for every prime P < 60 in turn: every
 # per-element fixed-point row and orbit listing pinned at once.

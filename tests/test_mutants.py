@@ -1,9 +1,10 @@
 """Named mutants: each replaces one function of the pipeline or the table of
 stabiliser generators, in every ``tatek`` module that holds it by name, or one
-method of the working graph or the registry, the validity report a graph
-keeps, one function of the command-line parser or the orbit-minimum mask, or
-one prime-bound check, and the oracles paired with it must then fail.  A
-mutant that nothing catches marks an oracle to strengthen."""
+method of the working graph, the registry, a group expression or a K-theory
+result, the validity report a graph keeps, one function of the command-line
+parser or the orbit-minimum mask, or one prime-bound check, and the oracles
+paired with it must then fail.  A mutant that nothing catches marks an oracle
+to strengthen."""
 
 import functools
 import inspect
@@ -706,26 +707,33 @@ def check_registry_refusing_boolean_versions(tmp_path):
 
 # Survivors of a mutation sweep over ``assemble`` and ``series``, each now
 # caught, as (owner, name, replacement, the checks that must fail): the degree
-# bound of a registry series in ``tate_k`` moved to 2n or to 3n, a free abelian
-# group of rank 0 refused, a registry document without a version read as
-# version 1, and a JSON true or false taken for an integer version.
+# bound of a registry series in ``_part``, the part rule that ``tate_k`` applies
+# to each class and ``rational_k`` to the identity's, moved to 2n or to 3n; a
+# free abelian group of rank 0 refused; a registry document without a version
+# read as version 1; and a JSON true or false taken for an integer version.
 REGISTRY_MUTANTS = {
     "degree_bound_from_2n": (
         assemble,
-        "tate_k",
+        "_part",
         ("series.max_degree > 2 * n", "series.max_degree >= 2 * n"),
-        [test_cli.assert_series_at_degree_2n_is_summed],
+        [
+            test_cli.assert_series_at_degree_2n_is_summed,
+            test_cli.assert_identity_series_at_degree_2n_is_summed,
+        ],
     ),
     "degree_bound_above_3n": (
         assemble,
-        "tate_k",
+        "_part",
         ("series.max_degree > 2 * n", "series.max_degree > 3 * n"),
-        [test_cli.assert_series_above_degree_2n_is_refused],
+        [
+            test_cli.assert_series_above_degree_2n_is_refused,
+            test_cli.assert_identity_series_above_degree_2n_is_refused,
+        ],
     ),
     "free_abelian_refusing_rank_0": (
-        series,
-        "series_free_abelian",
-        ("if rank < 0:", "if rank <= 0:"),
+        series.FreeAbelian,
+        "series",
+        ("if self.rank < 0:", "if self.rank <= 0:"),
         [check_free_abelian_rank_0],
     ),
     "registry_version_defaulting_to_1": (
@@ -759,6 +767,44 @@ def assert_mutant_fails(owner, attr, replacement, checks, monkeypatch, tmp_path)
 @pytest.mark.parametrize("name", sorted(REGISTRY_MUTANTS))
 def test_registry_mutants_fail_their_oracles(name, monkeypatch, tmp_path):
     assert_mutant_fails(*REGISTRY_MUTANTS[name], monkeypatch, tmp_path)
+
+
+def fixture_oracles(*stems: str) -> list:
+    """``fixture_checks`` as checks of ``assert_mutant_fails``, which pass ``tmp_path``."""
+    return [lambda tmp_path, stem=stem: replay_fixture(stem) for stem in stems]
+
+
+# Mutants of the rule that reads a result from its parts, as (owner, name,
+# replacement, the fixtures that must fail).  At p = 11, n = 18 four parts are
+# blocked, the rose core F7SemidirectAutF7_Z2invariants first and AutF6 last;
+# at p = 7, n = 11 the Farrell-Tate part F4SemidirectAutF4_Z2invariants blocks
+# before the identity's unknown OutF11; and at p = 5, n = 7 the identity's
+# part, H^*(Out(F_7); Q), adds (2, 1) to the Farrell-Tate (3, 0).
+SUM_MUTANTS = {
+    "blocker_from_last_part": (
+        assemble,
+        "_sum",
+        ("for part in parts:", "for part in reversed(parts):"),
+        fixture_oracles("tate_p_11_n_18_format_text", "tate_p_11_n_18_format_records"),
+    ),
+    "identity_part_first": (
+        assemble.RationalKResult,
+        "_parts",
+        ("(*self.tate.contributions, self.outfn)", "(self.outfn, *self.tate.contributions)"),
+        fixture_oracles("rational_p_7_n_11_format_text", "rational_p_7_n_11_format_records"),
+    ),
+    "rational_without_identity_part": (
+        assemble.RationalKResult,
+        "_parts",
+        ("(*self.tate.contributions, self.outfn)", "self.tate.contributions"),
+        fixture_oracles("rational_p_5_n_7_format_text", "rational_p_5_n_7_format_records"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_MUTANTS))
+def test_sum_mutants_fail_their_oracles(name, monkeypatch, tmp_path):
+    assert_mutant_fails(*SUM_MUTANTS[name], monkeypatch, tmp_path)
 
 
 # Each prime bound moved to refuse the bound itself.  None of the bounds is

@@ -24,7 +24,6 @@ from tatek.series import (
     flip_symmetric_square,
     registry_lookup,
     series_of,
-    series_point,
 )
 
 series_dims = st.dictionaries(st.integers(0, 8), st.integers(0, 5), max_size=6)
@@ -49,7 +48,7 @@ def test_series_free_abelian_two():
 
 
 def test_even_odd_examples():
-    assert even_odd_totals(series_point()) == (1, 0)
+    assert even_odd_totals(Finite().series()) == (1, 0)
     assert even_odd_totals(series_of(FreeAbelian(1))) == (1, 1)
     assert even_odd_totals(PoincareSeries.from_dims({0: 1, 1: 1})) == (1, 1)
 
@@ -59,6 +58,11 @@ def test_free_abelian_of_rank_0_is_a_point():
     assert even_odd_totals(series_of(FreeAbelian(0))) == (1, 0)
     with pytest.raises(ValueError, match="rank must be >= 0"):
         series_of(FreeAbelian(-1))
+
+
+def test_free_group_of_negative_rank_is_refused():
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        series_of(FreeGroup(-1))
 
 
 def test_free_abelian_totals_are_balanced():
@@ -82,7 +86,7 @@ def test_convolution_associative(d1, d2, d3):
 @given(series_dims)
 def test_point_is_the_unit(d):
     a = PoincareSeries.from_dims(d)
-    assert a.convolve(series_point()) == a
+    assert a.convolve(Finite().series()) == a
 
 
 @given(series_dims, series_dims)
@@ -95,7 +99,7 @@ def test_even_odd_multiplicative(d1, d2):
 
 
 def test_flip_square_acyclic():
-    assert dict(flip_symmetric_square(series_point()).pairs) == {0: 1}
+    assert dict(flip_symmetric_square(Finite().series()).pairs) == {0: 1}
 
 
 def test_flip_square_even_input():
