@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import stat
 import sys
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NoReturn
@@ -313,9 +314,17 @@ def demo_graph(name: str):
 
 def _read_graph_file(path: str) -> str:
     """The text of a graph file, refused above ``MAX_GRAPH_FILE_CHARS``
-    characters before it is parsed."""
+    characters before it is parsed.  A regular file of at most that many
+    bytes has at most that many characters and is read whole, holding its
+    bytes and its text and nothing more.  Any other is read up to one
+    character past the bound: asking for a length makes the reader allocate a
+    buffer of that length, 32 MiB, whatever the file's size."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read(MAX_GRAPH_FILE_CHARS + 1)
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode) and status.st_size <= MAX_GRAPH_FILE_CHARS:
+            text = fh.read()
+        else:
+            text = fh.read(MAX_GRAPH_FILE_CHARS + 1)
     if len(text) > MAX_GRAPH_FILE_CHARS:
         raise GraphTooLarge(
             f"graph file {path} is longer than the bound of {MAX_GRAPH_FILE_CHARS} characters"

@@ -76,8 +76,8 @@ class NormalizationError(RuntimeError):
 # grows about linearly in H: at the bound the slowest of 60 scrambled seeds
 # (p = 2 and 3) took 0.26 s of process time (median 0.12 s) on a 2-vCPU Xeon
 # with Python 3.11.  ``normalize --input`` on a scrambled file at the bound
-# peaks at 54 MB RSS (p = 2, 100,000 half-edges) and 53 MB (p = 97, 97,194)
-# on that host.
+# peaks at 41.3 MB RSS (p = 2, 100,000 half-edges) and 31.8 MB (p = 97,
+# 97,194) on that host, where a tree of dicts for the records took it to 54.
 MAX_HALF_EDGES = 100_000
 
 # The longest graph file, in characters, that ``normalize --input`` reads; a
@@ -259,14 +259,17 @@ def _connected(g: EquivariantGraph) -> bool:
     neighbours: list[list[int]] = [[] for _ in range(g.n_vertices)]
     for h, partner in enumerate(g.involution):
         neighbours[g.attach[h]].append(g.attach[partner])
-    seen = {0}
+    # One byte per vertex seen: a set of them would be the largest allocation
+    # of ``validate``.
+    seen = bytearray(g.n_vertices)
+    seen[0] = 1
     stack = [0]
     while stack:
         for w in neighbours[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
+            if not seen[w]:
+                seen[w] = 1
                 stack.append(w)
-    return len(seen) == g.n_vertices
+    return seen.count(0) == 0
 
 
 def _first_vertex_fixing_power(g: EquivariantGraph) -> int | None:
@@ -377,6 +380,8 @@ class _WorkingGraph:
     orbit representatives start as the loaded graph's, and the moves keep
     them current (a collapse removes one edge orbit and one vertex orbit
     whole, an expansion adds one of each) for :meth:`freeze` to hand over.
+    So are the loaded graph's cycle indexes, those it had derived, until a
+    collapse or an expansion changes an action: a slide changes neither.
 
     Once compact, a working graph has the fields of an ``EquivariantGraph``
     (``p``, ``involution``, ``attach``, ``vertex_action``,
@@ -388,7 +393,7 @@ class _WorkingGraph:
 
     __slots__ = (
         "p", "involution", "attach", "vertex_action", "half_edge_action",
-        "n_vertex_orbits", "_rep", "_orbit", "_merged", "_live", "_compact",
+        "n_vertex_orbits", "_rep", "_orbit", "_merged", "_live", "_compact", "_cycles",
     )
 
     def __init__(self, g: EquivariantGraph) -> None:
@@ -403,6 +408,11 @@ class _WorkingGraph:
         self._merged = list(range(g.n_vertices))
         self._live = bytearray(b"\x01") * g.n_half_edges
         self._compact = True
+        self._cycles = {
+            name: index
+            for name, index in vars(g).items()
+            if name in ("_vertex_cycles", "_half_edge_cycles")
+        }
 
     @property
     def n_vertices(self) -> int:
@@ -470,6 +480,7 @@ class _WorkingGraph:
             w = vertex_action[w]
         self.n_vertex_orbits -= 1
         self._compact = False
+        self._cycles = {}
 
     def slide(self, hs: int, ht: int) -> None:
         """Slide on a compact working graph: every attachment is current."""
@@ -530,6 +541,7 @@ class _WorkingGraph:
         self._merged += range(V, V + p)
         self._live += b"\x01" * (2 * p)
         self.n_vertex_orbits += 1
+        self._cycles = {}
         return H
 
     def apply(self, move: "Move") -> None:
@@ -549,21 +561,23 @@ class _WorkingGraph:
         as the collapsed graph numbers them: O(V + H)."""
         if self._compact:
             return
-        kept = list(compress(range(self.n_half_edges), self._live))
+        live = self._live
         new_half = [-1] * self.n_half_edges
-        for i, h in enumerate(kept):
+        for i, h in enumerate(compress(range(self.n_half_edges), live)):
             new_half[h] = i
         kept_vertices = [v for v, root in enumerate(self._merged) if v == root]
         new_vertex = [-1] * self.n_vertices
         for i, v in enumerate(kept_vertices):
             new_vertex[v] = i
         vertex_of = [new_vertex[self._find(v)] for v in range(self.n_vertices)]
-        inv, attach, action, rep = self.involution, self.attach, self.half_edge_action, self._rep
+        # Each half-edge list is rebuilt from the live entries of the one it
+        # replaces, so at most one old one is held beside the new ones.
+        renumber = new_half.__getitem__
+        self.involution = list(map(renumber, compress(self.involution, live)))
+        self.attach = list(map(vertex_of.__getitem__, compress(self.attach, live)))
+        self.half_edge_action = list(map(renumber, compress(self.half_edge_action, live)))
+        self._rep = list(map(renumber, compress(self._rep, live)))
         vertex_action, orbit = self.vertex_action, self._orbit
-        self.involution = [new_half[inv[h]] for h in kept]
-        self.attach = [vertex_of[attach[h]] for h in kept]
-        self.half_edge_action = [new_half[action[h]] for h in kept]
-        self._rep = [new_half[rep[h]] for h in kept]
         self.vertex_action = [new_vertex[vertex_action[v]] for v in kept_vertices]
         self._orbit = [new_vertex[orbit[v]] for v in kept_vertices]
         if -1 in self.involution or -1 in self.half_edge_action or -1 in self.vertex_action:
@@ -571,28 +585,32 @@ class _WorkingGraph:
             # action leads from a kept half-edge or vertex to a removed one.
             raise GraphStructureError("a collapse removed the partner or image of a kept element")
         self._merged = list(range(len(kept_vertices)))
-        self._live = bytearray(b"\x01") * len(kept)
+        self._live = bytearray(b"\x01") * len(self.involution)
         self._compact = True
 
     def freeze(self) -> EquivariantGraph:
         """The graph of the working copy, holding the representatives the
-        moves kept current in place of deriving them from its cycle index.
+        moves kept current in place of deriving them from its cycle index,
+        and the loaded graph's cycle indexes while its actions are unchanged.
         It is built without the constructor's checks (26 ms at 100,000
         half-edges): the copy was loaded from a checked graph, and each move
-        checked the indices it was given."""
+        checked the indices it was given.  Freezing spends the copy: each of
+        its lists is dropped once its tuple is made, so the two are never
+        held whole side by side."""
         self.compact()
         g = EquivariantGraph.__new__(EquivariantGraph)
-        for name, value in (
-            ("p", self.p),
-            ("n_vertices", self.n_vertices),
-            ("involution", tuple(self.involution)),
-            ("attach", tuple(self.attach)),
-            ("vertex_action", tuple(self.vertex_action)),
-            ("half_edge_action", tuple(self.half_edge_action)),
-            ("_edge_orbit_reps", tuple(self._rep)),
-            ("_vertex_orbit_reps", tuple(self._orbit)),
+        fields = vars(g)
+        fields.update(p=self.p, n_vertices=self.n_vertices, **self._cycles)
+        for name, slot in (
+            ("involution", "involution"),
+            ("attach", "attach"),
+            ("vertex_action", "vertex_action"),
+            ("half_edge_action", "half_edge_action"),
+            ("_edge_orbit_reps", "_rep"),
+            ("_vertex_orbit_reps", "_orbit"),
         ):
-            object.__setattr__(g, name, value)
+            fields[name] = tuple(getattr(self, slot))
+            setattr(self, slot, None)
         return g
 
 
@@ -857,8 +875,10 @@ def normalize(g: EquivariantGraph) -> tuple[NormalForm, tuple[Move, ...]]:
             _slide_to_step(work, h, cycle_half, 0, moves)
 
     # The moves keep a valid graph valid, so the result is checked by its
-    # shape alone; the tests validate every output in full.
+    # shape alone; the tests validate every output in full.  Freezing drops
+    # the working copy's lists, and so does this for the two phase 3 read.
     g = work.freeze()
+    del attach, inv
     if not _has_rose_cycle_shape(g):
         raise AssertionError("normalization ended off the rose-cycle shape")
     if rank(g) != input_rank:
@@ -914,14 +934,100 @@ def _check_list(value, name: str) -> list:
     return value
 
 
-def from_json_obj(obj: dict) -> EquivariantGraph:
+# What ``json.loads`` leaves in the place of a record it took into the columns
+# of a ``_Records``, and what stands in a column for a key a record lacks.
+_TAKEN = object()
+_ABSENT = object()
+
+
+class _Records:
+    """The half-edge records of a graph file as columns, in file order:
+    ``partner`` and ``vertex`` hold each record's values, and ``ids`` its ids
+    once they stop counting up from 0 (``None`` while they count up, which
+    they do in every file ``dumps`` writes).
+
+    :meth:`add` is the one rule for a record.  :func:`from_json_obj` applies
+    it to each record of a parsed object, and :func:`loads` makes it
+    ``json.loads``' object hook, so that each record goes into the columns as
+    it is parsed and no dict of it outlives its parse.  The rule refuses
+    nothing: every check runs later, on the columns, in the order and with
+    the messages of the reader of dicts.  The columns are ``array('l')``
+    while every value is an exact int that fits, 8 bytes a value in place of
+    an int object and a list slot; the first other value, a missing key
+    included, turns both into lists of the values.
+    """
+
+    __slots__ = ("partner", "vertex", "ids", "_parsing")
+
+    def __init__(self, parsing: bool) -> None:
+        from array import array
+
+        self.partner = array("l")
+        self.vertex = array("l")
+        self.ids: list | None = None
+        self._parsing = parsing
+
+    def add(self, record: dict) -> object:
+        """Take ``record`` into the columns and return ``_TAKEN``, which the
+        object hook leaves in its place.  While parsing, an object that lacks
+        a record's key and holds half_edges is the graph object: it is
+        returned as it is."""
+        try:
+            i, a, v = record["id"], record["partner"], record["vertex"]
+        except KeyError:
+            if self._parsing and "half_edges" in record:
+                return record
+            i, a, v = (record.get(key, _ABSENT) for key in ("id", "partner", "vertex"))
+        partner, vertex, ids = self.partner, self.vertex, self.ids
+        n = len(vertex)
+        if ids is not None:
+            ids.append(i)
+        elif type(i) is not int or i != n:
+            self.ids = [*range(n), i]
+        if type(a) is int and type(v) is int:
+            try:
+                partner.append(a)
+                vertex.append(v)
+                return _TAKEN
+            except OverflowError:
+                del partner[n:]
+        if type(partner) is not list:
+            self.partner, self.vertex = partner, vertex = list(partner), list(vertex)
+        partner.append(a)
+        vertex.append(v)
+        return _TAKEN
+
+    def hold(self, obj) -> bool:
+        """Whether ``obj``, parsed with :meth:`add` as its hook, is the file's
+        object with exactly the records taken here as its half_edges: each one
+        in its place and none anywhere else, nor dropped as a duplicate key."""
+        records = obj.get("half_edges") if type(obj) is dict else None
+        n = len(self.vertex)
+        return type(records) is list and len(records) == n == records.count(_TAKEN)
+
+    def column(self, name: str, order: list[int] | None) -> tuple:
+        values = getattr(self, name)
+        if type(values) is list and _ABSENT in values:
+            raise KeyError(name)
+        if order is None:
+            return tuple(values)
+        return tuple(map(values.__getitem__, order))
+
+
+def from_json_obj(obj: dict, records: _Records | None = None) -> EquivariantGraph:
+    """The graph of a graph file's object.  ``loads`` passes the records it
+    took into columns while parsing, and the object's half_edges then hold
+    only ``_TAKEN`` markers; otherwise each half_edges entry is read here by
+    the same rule, :meth:`_Records.add`.  Either way the checks run on the
+    columns, in one order: the shape of half_edges and the two bounds, each
+    entry an object, the ids, then the fields in the constructor's order."""
     if not isinstance(obj, dict):
         raise GraphStructureError(f"graph must be an object, got {type(obj).__name__}")
     try:
-        records = _check_list(obj["half_edges"], "half_edges")
-        if len(records) > MAX_HALF_EDGES:
+        half_edges = _check_list(obj["half_edges"], "half_edges")
+        if len(half_edges) > MAX_HALF_EDGES:
             raise GraphTooLarge(
-                f"graph has {len(records)} half-edges, above the bound {MAX_HALF_EDGES}"
+                f"graph has {len(half_edges)} half-edges, above the bound {MAX_HALF_EDGES}"
             )
         # A connected graph has at most H/2 + 1 vertices, so this refuses no
         # valid graph under the half-edge bound.
@@ -930,27 +1036,48 @@ def from_json_obj(obj: dict) -> EquivariantGraph:
             raise GraphTooLarge(
                 f"graph has {vertices} vertices, above the bound {MAX_HALF_EDGES}"
             )
-        for r in records:
-            if not isinstance(r, dict):
-                raise GraphStructureError(
-                    f"half_edges entry {_shown(r)} is not an object with id, partner and vertex"
-                )
-        ids = _check_ints(tuple(map(itemgetter("id"), records)), "half_edge id")
+        if records is None:
+            records = _Records(parsing=False)
+            for r in half_edges:
+                if not isinstance(r, dict):
+                    raise GraphStructureError(
+                        f"half_edges entry {_shown(r)} is not an object with id, partner and vertex"
+                    )
+                records.add(r)
         # ``dumps`` writes the records in id order; only another order is sorted.
-        if not _counts_up(ids):
+        order = None
+        ids = records.ids
+        if ids is not None:
+            if _ABSENT in ids:
+                raise KeyError("id")
+            _check_ints(tuple(ids), "half_edge id")
             if not _counts_up(sorted(ids)):
                 raise GraphStructureError("half_edge ids must be exactly 0..H-1")
-            records = sorted(records, key=itemgetter("id"))
+            order = sorted(range(len(ids)), key=ids.__getitem__)
         return EquivariantGraph(
             p=obj["p"],
             n_vertices=obj["vertices"],
-            involution=tuple(map(itemgetter("partner"), records)),
-            attach=tuple(map(itemgetter("vertex"), records)),
+            involution=records.column("partner", order),
+            attach=records.column("vertex", order),
             vertex_action=tuple(_check_list(obj["vertex_action"], "vertex_action")),
             half_edge_action=tuple(_check_list(obj["half_edge_action"], "half_edge_action")),
         )
     except KeyError as exc:
         raise GraphStructureError(f"missing graph field: {exc}") from exc
+
+
+def _share_indices(g: EquivariantGraph) -> None:
+    """Point the four arrays of a checked graph at one int object per index.
+    The parse makes one per entry, three or four per index in all; every
+    entry of a checked graph indexes its half-edges or its vertices, so each
+    can be looked up in one list of them.  ``itemgetter`` looks a whole array
+    up in one call, twice as fast as a ``map``; of fewer than two entries it
+    would return no tuple, and such an array has nothing to share."""
+    ints = list(range(max(g.n_half_edges, g.n_vertices)))
+    for name in ("involution", "attach", "vertex_action", "half_edge_action"):
+        values = getattr(g, name)
+        if len(values) > 1:
+            object.__setattr__(g, name, itemgetter(*values)(ints))
 
 
 # One half-edge record and one integer of a graph file, at the depth and
@@ -983,16 +1110,42 @@ def dumps(g: EquivariantGraph) -> str:
 
 def loads(text: str) -> EquivariantGraph:
     """The graph of a graph file, checked as ``from_json_obj`` checks it.
-    ``loads`` keeps no reference to the text once it is parsed, so a text
-    passed as a temporary is freed before the graph is built."""
+    Each half-edge record goes into the columns of a ``_Records`` as it is
+    parsed, so no dict per record is kept, and the graph's arrays share one
+    int object per index.  A file whose objects are not the graph object and
+    its records in place is parsed again without the hook and read as a tree
+    of dicts, which gives the same graph or error.  ``loads`` keeps no
+    reference to the text once it is parsed, so a text passed as a temporary
+    is freed before the graph is built.
+
+    At 40,016 half-edges (p = 2) its traced peak is 0.40 of what
+    ``json.loads`` alone reaches with its tree of dicts, and on each
+    benchmark graph it stays under the read of the file, its bytes and its
+    text together.  The hook costs about 0.3 us a record: on the benchmark's
+    largest graph (2,716 half-edges) ``loads`` takes about 1 ms more in a
+    fresh process than parsing into dicts did, and at the bound about 20 ms
+    more of a 400 ms ``normalize --input``, on a 2-vCPU Xeon with Python
+    3.11."""
     import json
 
+    records = _Records(parsing=True)
     try:
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text, object_hook=records.add)
+        except RecursionError:
+            # The hook's frames can tip a file just under the limit over it.
+            obj = None
+        if not records.hold(obj):
+            obj, records = json.loads(text), None
     except RecursionError:
         raise GraphStructureError("graph file is nested too deeply to parse") from None
     # CPython moves call arguments into the callee's frame, so when the caller
     # passes the text as a temporary this drop frees it before the graph is
     # built: at the half-edge bound, 8.5 MB that would outlive the parse.
     del text
-    return from_json_obj(obj)
+    g = from_json_obj(obj, records)
+    # With the file's object gone, its action lists go too, and the ints the
+    # parse made die as the arrays are pointed at shared ones.
+    del obj, records
+    _share_indices(g)
+    return g

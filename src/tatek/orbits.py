@@ -74,7 +74,7 @@ def burnside_orbit_count(g: MatrixGroup) -> int:
 
 
 @lru_cache(maxsize=1)
-def _minimum_mask(g: MatrixGroup) -> bytes:
+def _minimum_mask(g: MatrixGroup) -> bytearray:
     """The brute-force partition as a p^2-byte map over flat indices
     v = l*p + m, whose order is the lexicographic order of (l, m): byte v is 0
     exactly when (l, m) is nonzero and no element of the group maps it to a
@@ -88,29 +88,33 @@ def _minimum_mask(g: MatrixGroup) -> bytes:
     all lie in {0, +-1}, so for them that loop never runs.
 
     Three facts of the group cut the work.  When -I is in it and p > 2, -I
-    maps row l to row p - l, so rows above p/2 are all ones and set in one
-    slice; only rows below p/2 are visited.  Each element's case is chosen
-    once, the identity is skipped, and an element with b = 0 and a != 1 needs
-    the second coordinate on row 0 only.  The window of b = +-1 depends on the
-    first row (a, b) alone, so it is set once per distinct first row and only
-    the tie byte is tested for each (c, d).  So the visited rows are walked
-    once per distinct first row (a, +-1) and once per other non-identity
-    element, with at most two slices a row: for the edge, rose and theta
-    groups 3, 5 and 7 passes over (p + 1)/2 rows, where each of their 4, 8
-    and 12 elements walked all p rows before.  O(p * |G|) slices on p^2 bytes.
+    maps row l to row p - l, so rows above p/2 are all ones, set a row at a
+    time from one p-byte buffer; only rows below p/2 are visited.  Each
+    element's case is chosen once, the identity is skipped, and an element
+    with b = 0 and a != 1 needs the second coordinate on row 0 only.  The
+    window of b = +-1 depends on the first row (a, b) alone, so it is set
+    once per distinct first row and only the tie byte is tested for each
+    (c, d).  So the visited rows are walked once per distinct first row
+    (a, +-1) and once per other non-identity element, with at most two
+    slices a row: for the edge, rose and theta groups 3, 5 and 7 passes over
+    (p + 1)/2 rows, where each of their 4, 8 and 12 elements walked all p
+    rows before.  O(p * |G|) slices on p^2 bytes.
 
     The last mask is kept: ``orbits --list`` counts a group's orbits through
     :func:`orbit_report` and then lists them through :func:`iter_orbits`,
-    and so builds one mask per kind.
+    and so builds one mask per kind.  It is the ``bytearray`` it was built
+    in, one p^2 buffer with no copy; its readers only ``count`` and ``find``
+    in it, and none may write to it.
     """
     p = check_orbit_prime(g.p)
     minus_one = p - 1
     rows = p
     if p > 2 and (minus_one, 0, 0, minus_one) in g.elements:
         rows = (p + 1) // 2
-    mask = bytearray(rows * p)
-    mask += b"\x01" * ((p - rows) * p)
+    mask = bytearray(p * p)
     ones = memoryview(b"\x01" * p)
+    for l in range(rows, p):
+        mask[l * p : l * p + p] = ones
     windows: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, b, c, d in g.elements:
         if b == 1 or b == minus_one:
@@ -165,10 +169,10 @@ def _minimum_mask(g: MatrixGroup) -> bytes:
                 if (c * l + d * tie) % p < tie:
                     mask[row + tie] = 1
     mask[0] = 1
-    return bytes(mask)
+    return mask
 
 
-def _zeros(mask: bytes) -> Iterator[int]:
+def _zeros(mask: bytearray) -> Iterator[int]:
     """The smallest flat index of each orbit, ascending: the zeros of the mask."""
     v = mask.find(0)
     while v >= 0:

@@ -250,7 +250,7 @@ class Registry:
     (``tatek.bundled``) or a ``TATEK_REGISTRY`` override file in JSON."""
 
     def __init__(self, entries: dict[str, RegistryEntry], version: int):
-        self._entries = entries
+        self._entries = dict(entries)
         self.version = version
 
     @classmethod
@@ -334,6 +334,10 @@ class Registry:
         return cls.from_document(COHOMOLOGY_REGISTRY)
 
     def lookup(self, name: str) -> RegistryEntry:
+        """The entry of ``name``.  A synthetic unknown entry is built at its
+        first lookup and kept beside the curated ones, so a name is matched
+        against ``_DYNAMIC_UNKNOWN`` once per registry: ``tate_k`` looks each
+        name of a class up twice, for its series and for its citations."""
         entry = self._entries.get(name)
         if entry is not None:
             return entry
@@ -343,9 +347,11 @@ class Registry:
                 continue
             ranks = set(match.groups())
             if len(ranks) == 1 and int(match.group(1)) >= threshold:
-                return RegistryEntry(
+                entry = RegistryEntry(
                     name=name, series=None, citation=template.format(r=match.group(1))
                 )
+                self._entries[name] = entry
+                return entry
         raise NoSuchEntry(name)
 
 

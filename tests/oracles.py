@@ -9,11 +9,22 @@ A matrix is its row-major entry quadruple (a, b, c, d); the product and the
 powers reduce it mod p and refuse a singular one, and the four named
 stabiliser generators are written out here, apart from the package's table.
 Beside them, ``random_valid_graph`` draws the scrambled graphs many tests
-start from.
+start from, and ``reference_loads`` is the graph file reader that parsed the
+whole file into a tree of dicts, frozen when ``graphs.loads`` began to read
+the half-edge records into columns as they are parsed.
 """
 
+import json
+from operator import itemgetter
+
+from tatek._value import _shown
 from tatek.graphs import (
+    MAX_HALF_EDGES,
+    EquivariantGraph,
     GraphStructureError,
+    GraphTooLarge,
+    _check_ints,
+    _counts_up,
     canonical_graph,
     edge_orbit_refs,
     oriented_step,
@@ -35,6 +46,60 @@ def to_json_obj(g) -> dict:
         "vertex_action": list(g.vertex_action),
         "half_edge_action": list(g.half_edge_action),
     }
+
+
+def _reference_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise GraphStructureError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def reference_from_json_obj(obj: dict):
+    """The graph of a file's object, read from its tree of dicts: one dict per
+    half-edge record, each field gathered by ``itemgetter``."""
+    if not isinstance(obj, dict):
+        raise GraphStructureError(f"graph must be an object, got {type(obj).__name__}")
+    try:
+        records = _reference_list(obj["half_edges"], "half_edges")
+        if len(records) > MAX_HALF_EDGES:
+            raise GraphTooLarge(
+                f"graph has {len(records)} half-edges, above the bound {MAX_HALF_EDGES}"
+            )
+        vertices = obj.get("vertices")
+        if type(vertices) is int and vertices > MAX_HALF_EDGES:
+            raise GraphTooLarge(
+                f"graph has {vertices} vertices, above the bound {MAX_HALF_EDGES}"
+            )
+        for r in records:
+            if not isinstance(r, dict):
+                raise GraphStructureError(
+                    f"half_edges entry {_shown(r)} is not an object with id, partner and vertex"
+                )
+        ids = _check_ints(tuple(map(itemgetter("id"), records)), "half_edge id")
+        if not _counts_up(ids):
+            if not _counts_up(sorted(ids)):
+                raise GraphStructureError("half_edge ids must be exactly 0..H-1")
+            records = sorted(records, key=itemgetter("id"))
+        return EquivariantGraph(
+            p=obj["p"],
+            n_vertices=obj["vertices"],
+            involution=tuple(map(itemgetter("partner"), records)),
+            attach=tuple(map(itemgetter("vertex"), records)),
+            vertex_action=tuple(_reference_list(obj["vertex_action"], "vertex_action")),
+            half_edge_action=tuple(_reference_list(obj["half_edge_action"], "half_edge_action")),
+        )
+    except KeyError as exc:
+        raise GraphStructureError(f"missing graph field: {exc}") from exc
+
+
+def reference_loads(text: str):
+    """The graph of a graph file: ``json.loads`` builds the whole tree of
+    dicts, and ``reference_from_json_obj`` reads it."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise GraphStructureError("graph file is nested too deeply to parse") from None
+    return reference_from_json_obj(obj)
 
 
 def random_valid_graph(p, max_rank, rng):

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -26,7 +27,7 @@ from tatek.records import parse_records
 from tatek.series import REGISTRY_ENV_VAR, reset_default_registry
 from oracles import to_json_obj
 from test_golden_cli import run_main
-from test_normalize_reference import lone_cycle_graph
+from test_normalize_reference import gen_graphs, lone_cycle_graph
 
 # Representative invocations of every documented subcommand, both formats.
 COMMANDS = [
@@ -993,6 +994,52 @@ def test_normalize_input_file_above_the_length_bound_is_never_parsed(
             f"error: GraphTooLarge: graph file {path} is longer than the bound of "
             f"{MAX_GRAPH_FILE_CHARS} characters\n"
         )
+
+
+def test_reading_a_graph_file_holds_its_bytes_and_its_text_and_no_more(tmp_path):
+    # Reading with a length makes the reader allocate a buffer of that length:
+    # through ``read(MAX_GRAPH_FILE_CHARS + 1)`` a 40 KB file peaked at 33.6 MB.
+    path = tmp_path / "graph.json"
+    path.write_text(graph_dumps(gen_graphs.scrambled(31, 4, 2, 3, Random(1))), encoding="utf-8")
+    size = path.stat().st_size
+    assert size > 35_000
+    tracemalloc.start()
+    try:
+        cli._read_graph_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
+
+
+def test_after_the_read_nothing_in_normalize_input_climbs_above_it(tmp_path, monkeypatch, capsys):
+    # Reading a graph file holds its bytes and its text together, about twice
+    # the file, and that is the request's high-water mark: the parse (the
+    # text, the records' columns and the action lists), the graph it builds,
+    # validate's cycle indexes, normalize's working copy and the output all
+    # stay under it, on every benchmark graph.  With a dict per record the
+    # parse alone climbed to 2.2 times the read.
+    read_file, marks = cli._read_graph_file, []
+
+    def reading(path):
+        tracemalloc.reset_peak()
+        text = read_file(path)
+        marks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return text
+
+    monkeypatch.setattr(cli, "_read_graph_file", reading)
+    for config in gen_graphs.GRAPH_CONFIGS:
+        path = tmp_path / "graph.json"
+        path.write_text(graph_dumps(gen_graphs.scrambled(*config, Random(1))), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = cli.main(["normalize", "--input", str(path), "--format", "records"])
+            after = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out.startswith("record=normal_form")
+        assert after <= marks[-1], config
 
 
 class _LineCounter(io.TextIOBase):

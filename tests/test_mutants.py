@@ -162,6 +162,20 @@ VERTICES_COUNTED_FROM_THE_END = (
 )
 
 
+# A freeze that hands over only the representatives: each graph left by a
+# slide derives the cycle indexes of its unchanged actions again.
+FREEZE_REWALKING_CYCLES = (
+    "freeze",
+    ("fields.update(p=self.p, n_vertices=self.n_vertices, **self._cycles)",
+     "fields.update(p=self.p, n_vertices=self.n_vertices)"),
+)
+
+
+def check_cycle_walks(tmp_path):
+    with pytest.MonkeyPatch.context() as patch:
+        test_graphs.assert_selftest_graph_walks(patch)
+
+
 def check_expand_refusals(tmp_path):
     test_graphs.assert_expand_refusals()
 
@@ -215,6 +229,7 @@ def check_frozen_representatives(tmp_path):
         (NEW_HALF_EDGES_REPRESENTED_APART, [check_frozen_representatives]),
         (HALF_EDGES_COUNTED_FROM_THE_END, [check_move_refusals, check_expand_refusals]),
         (VERTICES_COUNTED_FROM_THE_END, [check_expand_refusals, check_moves_on_any_graph]),
+        (FREEZE_REWALKING_CYCLES, [check_cycle_walks]),
     ],
     ids=[
         "slide_writing_as_it_reads",
@@ -222,6 +237,7 @@ def check_frozen_representatives(tmp_path):
         "new_half_edges_represented_apart",
         "half_edges_counted_from_the_end",
         "vertices_counted_from_the_end",
+        "freeze_rewalks_cycles",
     ],
 )
 def test_working_graph_mutants_fail_their_oracles(mutation, checks, monkeypatch, tmp_path):
@@ -559,6 +575,13 @@ PIPELINE_MUTANTS = {
         ["tatek.cli", "tatek.graphs"],
         [test_graphs.test_loads_peaks_at_the_parse],
     ),
+    "loads_through_the_dict_tree": (
+        graphs,
+        "loads",
+        lambda: loads_through_the_dict_tree,
+        ["tatek.cli", "tatek.graphs"],
+        [test_graphs.test_loads_peaks_at_the_parse],
+    ),
     "slides_always_forward": (
         graphs,
         "_slide_plan",
@@ -654,6 +677,15 @@ def test_pipeline_mutants_fail_their_oracles(name, monkeypatch):
                     check()
     finally:
         clear_group_caches()
+
+
+def loads_through_the_dict_tree(text):
+    """``graphs.loads`` as it read a file before the records went into
+    columns: ``json.loads`` builds a dict per record, and ``from_json_obj``
+    reads them."""
+    obj = json.loads(text)
+    del text
+    return graphs.from_json_obj(obj)
 
 
 def report_kept_on_the_class():

@@ -23,6 +23,7 @@ from tatek.orbits import (
     closed_form_orbits,
     enumerate_orbits,
     fixed_points,
+    iter_orbits,
     orbit_report,
     quotient_summary,
 )
@@ -457,3 +458,16 @@ def test_orbit_report_matches_closed_form_at_the_largest_admitted_prime():
         report = orbit_report(kind, p)
         assert report.match, kind
         assert report.brute_force_count == closed_form_orbits(kind, p), kind
+
+
+def test_counting_and_listing_leave_the_kept_mask_unchanged():
+    # The mask is the bytearray it was built in, with no read-only copy; it is
+    # kept for the next call, so its readers may count and find in it but
+    # never write to it.
+    group = stabiliser_group(StabiliserKind.THETA_VERTEX, 31)
+    mask = _minimum_mask(group)
+    before = bytes(mask)
+    assert orbit_report(StabiliserKind.THETA_VERTEX, 31).brute_force_count == mask.count(0)
+    assert len(list(iter_orbits(group))) == mask.count(0)
+    assert _minimum_mask(group) is mask
+    assert mask == before

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tatek import bundled
+from tatek import series as series_module
 from tatek.series import (
     Finite,
     FlipSquare,
@@ -23,6 +24,7 @@ from tatek.series import (
     even_odd_totals,
     flip_symmetric_square,
     registry_lookup,
+    reset_default_registry,
     series_of,
 )
 
@@ -157,6 +159,25 @@ def test_registry_dynamic_unknowns():
     # Below the thresholds the explicit entries (or nothing) decide.
     with pytest.raises(NoSuchEntry):
         registry_lookup("OutF1")
+
+
+def test_a_synthetic_entry_is_built_once_per_registry(monkeypatch):
+    # tate_k looks each name of a class up for its series and again for its
+    # citations; the second lookup of a synthetic name reads the kept entry.
+    entries = {}
+    registry = Registry(entries, version=1)
+    entry = registry.lookup("AutF9")
+    matched = []
+    monkeypatch.setattr(series_module.re, "fullmatch", lambda *a: matched.append(a))
+    assert registry.lookup("AutF9") is entry and matched == []
+    assert entries == {}
+    monkeypatch.undo()
+    # Choosing the registry again builds it again.
+    first = registry_lookup("AutF9")
+    assert registry_lookup("AutF9") is first
+    reset_default_registry()
+    assert registry_lookup("AutF9") is not first
+    assert registry_lookup("AutF9") == first
 
 
 SYNTHETIC_UNKNOWN_CASES = [
